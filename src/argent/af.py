@@ -13,7 +13,7 @@ from typing import Iterable
 
 from . import kernels
 from .errors import ParseError, ResourceLimitError, UnknownArgumentError
-from .prop import ID_PATTERN
+from .prop import ID_PATTERN, IDENT
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,17 @@ class ArgumentationFramework:
         return sorted(self.attacks, key=self.pair_key)
 
 
-_ARG_STMT = re.compile(r"arg\s*\(\s*([a-z][a-zA-Z0-9_]*)\s*\)\s*\.")
-_ATT_STMT = re.compile(r"att\s*\(\s*([a-z][a-zA-Z0-9_]*)\s*,\s*([a-z][a-zA-Z0-9_]*)\s*\)\s*\.")
+_ARG_STMT = re.compile(rf"arg\s*\(\s*({IDENT})\s*\)\s*\.")
+ATT_STMT = re.compile(rf"att\s*\(\s*({IDENT})\s*,\s*({IDENT})\s*\)\s*\.")
 
 
-def _line_col(text: str, pos: int) -> tuple[int, int]:
+def strip_comments(text: str) -> str:
+    """`text` with every `#` comment removed; line breaks are kept."""
+    return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+
+
+def line_col(text: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of offset `pos` in `text`."""
     line = text.count("\n", 0, pos) + 1
     last = text.rfind("\n", 0, pos)
     return line, pos - last
@@ -62,7 +68,7 @@ def _line_col(text: str, pos: int) -> tuple[int, int]:
 
 def parse_af(text: str) -> ArgumentationFramework:
     """Parse apx-style text: `arg(<id>).` and `att(<id>,<id>).` statements."""
-    stripped = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    stripped = strip_comments(text)
     arguments: list[str] = []
     attacks: list[tuple[str, str]] = []
     pos = 0
@@ -76,12 +82,12 @@ def parse_af(text: str) -> ArgumentationFramework:
             arguments.append(m.group(1))
             pos = m.end()
             continue
-        m = _ATT_STMT.match(stripped, pos)
+        m = ATT_STMT.match(stripped, pos)
         if m:
             attacks.append((m.group(1), m.group(2)))
             pos = m.end()
             continue
-        line, col = _line_col(stripped, pos)
+        line, col = line_col(stripped, pos)
         raise ParseError("expected arg(...). or att(...,...).", line, col)
     if len(set(arguments)) != len(arguments):
         raise ParseError("duplicate arg(...) declaration")

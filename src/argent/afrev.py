@@ -19,26 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import kernels
-from .af import ArgumentationFramework, format_af
-from .encoding import AttAccVocabulary, att_unit_literals, attacker_masks_from
+from .af import ArgumentationFramework, format_af, format_extension, format_pair_set
+from .encoding import AttAccVocabulary, attacker_masks_from, mask_evaluator, pin_att_units
 from .errors import ParseError, ResourceLimitError, UnknownArgumentError
-from .prop import (
-    And,
-    Const,
-    Formula,
-    FormulaParser,
-    Iff,
-    Implies,
-    Not,
-    Or,
-    TRUE,
-    Var,
-    satisfiable,
-    scan,
-)
+from .prop import And, Formula, FormulaParser, TRUE, Var, satisfiable, scan
 
 DALAL = "dalal"
 ATT_WEIGHTED = "att-weighted"
@@ -93,38 +80,6 @@ class _GoalParser(FormulaParser):
 def parse_goal(text: str, enc: AttAccVocabulary) -> Formula:
     """Compile a goal/constraint over acc(x) and att(x,y) atoms to att/acc variables."""
     return _GoalParser(scan(text), enc).parse()
-
-
-def _compile(formula: Formula, enc: AttAccVocabulary) -> Callable[[int, int], bool]:
-    """Closure evaluating `formula` on (att bitmask, acc bitmask)."""
-    if isinstance(formula, Var):
-        p = enc.att_position(formula.name)
-        if p is not None:
-            return lambda att, acc, p=p: bool((att >> p) & 1)
-        i = enc.acc_position(formula.name)
-        if i is None:
-            raise UnknownArgumentError(f"variable {formula.name!r} is not an att/acc variable")
-        return lambda att, acc, i=i: bool((acc >> i) & 1)
-    if isinstance(formula, Const):
-        return lambda att, acc, v=formula.value: v
-    if isinstance(formula, Not):
-        g = _compile(formula.child, enc)
-        return lambda att, acc: not g(att, acc)
-    if isinstance(formula, And):
-        gs = [_compile(c, enc) for c in formula.children]
-        return lambda att, acc: all(g(att, acc) for g in gs)
-    if isinstance(formula, Or):
-        gs = [_compile(c, enc) for c in formula.children]
-        return lambda att, acc: any(g(att, acc) for g in gs)
-    if isinstance(formula, Implies):
-        gl = _compile(formula.left, enc)
-        gr = _compile(formula.right, enc)
-        return lambda att, acc: (not gl(att, acc)) or gr(att, acc)
-    if isinstance(formula, Iff):
-        gl = _compile(formula.left, enc)
-        gr = _compile(formula.right, enc)
-        return lambda att, acc: gl(att, acc) == gr(att, acc)
-    raise TypeError(f"not a formula: {formula!r}")
 
 
 @dataclass(frozen=True)
@@ -189,27 +144,19 @@ def revise_af(
     w_att, w_acc = mode_weights(mode, n)
     if not satisfiable([combined]):
         return RevisionOutcome(())
-    units = att_unit_literals(combined, enc)
-    if units is None:
+    pins = pin_att_units(combined, enc)
+    if pins is None:
         return RevisionOutcome(())
-    free = [p for p in range(n * n) if p not in units]
-    if len(free) > 25:
-        raise ResourceLimitError(f"{len(free)} free att variables exceed the limit of 25")
-
+    pinned, value, free = pins
     base_att = 0
-    for p, (x, y) in enumerate(enc.pairs):
-        if (x, y) in af.attacks:
+    for p, pair in enumerate(enc.pairs):
+        if pair in af.attacks:
             base_att |= 1 << p
-    start = base_att
-    for p, value in units.items():
-        if value:
-            start |= 1 << p
-        else:
-            start &= ~(1 << p)
+    start = base_att & ~pinned | value
     baseline = bin(start ^ base_att).count("1")
 
     acc0_mask, _ = kernels.acceptance_mask(attacker_masks_from(base_att, n), n)
-    check = _compile(combined, enc)
+    check = mask_evaluator(combined, enc)
 
     hits: list[tuple[int, tuple[int, ...], int, int, bool]] = []
     best: int | None = None
@@ -262,10 +209,10 @@ def format_outcome(outcome: RevisionOutcome) -> str:
     for idx, entry in enumerate(outcome, start=1):
         lines.append(f"entry {idx}:")
         lines.append(format_af(entry.af))
-        lines.append(f"accepted: {_fmt_args(entry.af, entry.accepted)}")
-        lines.append(f"att_added: {_fmt_pairs(entry.af, entry.att_added)}")
-        lines.append(f"att_removed: {_fmt_pairs(entry.af, entry.att_removed)}")
-        lines.append(f"acc_changed: {_fmt_args(entry.af, entry.acc_changed)}")
+        lines.append(f"accepted: {format_extension(entry.af, entry.accepted)}")
+        lines.append(f"att_added: {format_pair_set(entry.af, entry.att_added)}")
+        lines.append(f"att_removed: {format_pair_set(entry.af, entry.att_removed)}")
+        lines.append(f"acc_changed: {format_extension(entry.af, entry.acc_changed)}")
         lines.append(f"weight: {entry.total_weight}")
         if entry.vacuous:
             lines.append("vacuous: true")
@@ -295,11 +242,3 @@ def _sorted_args(af: ArgumentationFramework, names: Iterable[str]) -> list[str]:
     member = set(names)
     return [a for a in af.arguments if a in member]
 
-
-def _fmt_args(af: ArgumentationFramework, names: Iterable[str]) -> str:
-    return "{" + ",".join(_sorted_args(af, names)) + "}"
-
-
-def _fmt_pairs(af: ArgumentationFramework, pairs) -> str:
-    ordered = sorted(pairs, key=af.pair_key)
-    return "{" + ",".join(f"({s},{t})" for s, t in ordered) + "}"

@@ -13,8 +13,15 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import afrev, eaf as eaf_mod, structured
-from .af import format_af, format_extension, parse_af, skeptical_accepted, stable_extensions
+from . import afrev, eaf as eaf_mod
+from .af import (
+    format_af,
+    format_extension,
+    format_pair_set,
+    parse_af,
+    skeptical_accepted,
+    stable_extensions,
+)
 from .afrev import MODES, RevisionOutcome, format_outcome, outcome_to_dict, parse_goal, revise_af
 from .encoding import AttAccVocabulary
 from .errors import (
@@ -31,6 +38,7 @@ from .prop import (
     models,
     parse_formula,
     parse_formula_lines,
+    variables,
 )
 from .revision import dalal_revise
 from .structured import CertaintyMap, StructuredArgument, exhaustive_graph, make_enthymeme
@@ -48,17 +56,15 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _vocab(formula, vocab_flag):
+def _vocab(vocab_flag, *formulas):
     if vocab_flag:
         return Vocabulary(tuple(s.strip() for s in vocab_flag.split(",")))
-    from .prop import variables
-
-    return Vocabulary(tuple(sorted(variables(formula))))
+    return Vocabulary(tuple(sorted(frozenset().union(*map(variables, formulas)))))
 
 
 def cmd_models(ns) -> int:
     f = parse_formula(ns.formula)
-    vocabulary = _vocab(f, ns.vocab)
+    vocabulary = _vocab(ns.vocab, f)
     found = models(f, vocabulary)
     if ns.emit_structured:
         print(json.dumps({"models": [sorted(m.true_set) for m in found]}))
@@ -71,12 +77,7 @@ def cmd_models(ns) -> int:
 def cmd_revise_formula(ns) -> int:
     phi = parse_formula(ns.phi)
     alpha = parse_formula(ns.alpha)
-    if ns.vocab:
-        vocabulary = Vocabulary(tuple(s.strip() for s in ns.vocab.split(",")))
-    else:
-        from .prop import variables
-
-        vocabulary = Vocabulary(tuple(sorted(variables(phi) | variables(alpha))))
+    vocabulary = _vocab(ns.vocab, phi, alpha)
     result = dalal_revise(phi, alpha, vocabulary)
     if ns.emit_structured:
         print(json.dumps({"models": [sorted(m.true_set) for m in result]}))
@@ -158,8 +159,6 @@ def cmd_eaf(ns) -> int:
             return EXIT_OK
         print(f"deductive: {format_extension(af, framework.deductive_ids)}")
         print(f"enthymemes: {format_extension(af, framework.enthymeme_ids)}")
-        from .af import format_pair_set
-
         print(f"certain: {format_pair_set(af, cls.certain)}")
         print(f"questionable: {format_pair_set(af, cls.questionable)}")
         print(f"deductive_core: {format_pair_set(af, cls.deductive_core)}")

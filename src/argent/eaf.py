@@ -26,11 +26,12 @@ import re
 from dataclasses import dataclass
 from typing import Sequence
 
-from .af import ArgumentationFramework
+from .af import ATT_STMT, ArgumentationFramework, line_col, strip_comments
 from .afrev import ATT_ONLY, RevisionEntry, RevisionOutcome, parse_goal, revise_af
 from .encoding import AttAccVocabulary
 from .errors import ParseError, UnknownArgumentError
 from .prop import (
+    IDENT,
     Formula,
     Not,
     TRUE,
@@ -100,21 +101,14 @@ class EnthymemeAF:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_HEADER_RE = re.compile(r"(deductive|enthymeme)\s+([a-z][a-zA-Z0-9_]*)\s*\{")
-_ATT_RE = re.compile(r"att\s*\(\s*([a-z][a-zA-Z0-9_]*)\s*,\s*([a-z][a-zA-Z0-9_]*)\s*\)\s*\.")
+_HEADER_RE = re.compile(rf"(deductive|enthymeme)\s+({IDENT})\s*\{{")
 _FIELD_RE = re.compile(r"\b(support|claim|added_support|full_claim)\s*:")
-
-
-def _line_col(text: str, pos: int) -> tuple[int, int]:
-    line = text.count("\n", 0, pos) + 1
-    last = text.rfind("\n", 0, pos)
-    return line, pos - last
 
 
 def parse_eaf(text: str) -> EnthymemeAF:
     """Parse the enthymeme-framework format; completed-enthymeme invariants are
     checked and reported with the offending argument identifier."""
-    stripped = "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    stripped = strip_comments(text)
     arguments: list[StructuredArgument] = []
     attacks: list[tuple[str, str]] = []
     pos = 0
@@ -127,20 +121,20 @@ def parse_eaf(text: str) -> EnthymemeAF:
         if m:
             close = stripped.find("}", m.end())
             if close < 0:
-                line, col = _line_col(stripped, pos)
+                line, col = line_col(stripped, pos)
                 raise ParseError("unterminated argument block", line, col)
             arguments.append(
                 _parse_block(m.group(1), m.group(2), stripped[m.end():close],
-                             _line_col(stripped, pos)[0])
+                             line_col(stripped, pos)[0])
             )
             pos = close + 1
             continue
-        m = _ATT_RE.match(stripped, pos)
+        m = ATT_STMT.match(stripped, pos)
         if m:
             attacks.append((m.group(1), m.group(2)))
             pos = m.end()
             continue
-        line, col = _line_col(stripped, pos)
+        line, col = line_col(stripped, pos)
         raise ParseError("expected an argument block or att(...,...).", line, col)
     return EnthymemeAF(tuple(arguments), frozenset(attacks))
 

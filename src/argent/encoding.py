@@ -17,11 +17,11 @@ for tiny instances, since the quantifier expansion is exponential.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import kernels
 from .af import ArgumentationFramework, skeptical_accepted
-from .errors import ResourceLimitError, VocabularyMismatchError
+from .errors import ResourceLimitError, UnknownArgumentError, VocabularyMismatchError
 from .prop import (
     And,
     Const,
@@ -30,12 +30,13 @@ from .prop import (
     Implies,
     Interpretation,
     Not,
+    Or,
     Var,
     Vocabulary,
     conj,
-    evaluate,
     neg,
     substitute,
+    unit_literals,
     variables,
 )
 
@@ -154,32 +155,60 @@ def attacker_masks_from(att_mask: int, n: int) -> list[int]:
     return masks
 
 
-def att_unit_literals(constraint: Formula, enc: AttAccVocabulary):
-    """Att positions pinned by unit literals of a top-level conjunction.
+def pin_att_units(formula: Formula, enc: AttAccVocabulary):
+    """Att bits pinned by the unit literals of `formula`'s top-level conjunction.
 
-    Returns a position->bool mapping, or None when two units contradict.
-    Acc literals and non-literal conjuncts are left for per-model evaluation.
+    Returns (pinned mask, pinned-true bits, free att positions ascending), or
+    None when two unit literals contradict.  More than FREE_ATT_LIMIT free att
+    positions trips the resource guard.
     """
-    units: dict[int, bool] = {}
-    stack = [constraint]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, And):
-            stack.extend(g.children)
-            continue
-        if isinstance(g, Var):
-            name, value = g.name, True
-        elif isinstance(g, Not) and isinstance(g.child, Var):
-            name, value = g.child.name, False
-        else:
-            continue
-        pos = enc.att_position(name)
-        if pos is None:
-            continue
-        if pos in units and units[pos] != value:
-            return None
-        units[pos] = value
-    return units
+    units = unit_literals([formula])
+    if units is None:
+        return None
+    pinned = value = 0
+    for name, truth in units.items():
+        p = enc.att_position(name)
+        if p is not None:
+            pinned |= 1 << p
+            value |= truth << p
+    free = [p for p in range(enc.n * enc.n) if not (pinned >> p) & 1]
+    if len(free) > FREE_ATT_LIMIT:
+        raise ResourceLimitError(
+            f"{len(free)} free att variables exceed the limit of {FREE_ATT_LIMIT}"
+        )
+    return pinned, value, free
+
+
+def mask_evaluator(formula: Formula, enc: AttAccVocabulary) -> Callable[[int, int], bool]:
+    """Closure evaluating `formula` on (att bitmask, acc bitmask)."""
+    if isinstance(formula, Var):
+        p = enc.att_position(formula.name)
+        if p is not None:
+            return lambda att, acc, p=p: bool((att >> p) & 1)
+        i = enc.acc_position(formula.name)
+        if i is None:
+            raise UnknownArgumentError(f"variable {formula.name!r} is not an att/acc variable")
+        return lambda att, acc, i=i: bool((acc >> i) & 1)
+    if isinstance(formula, Const):
+        return lambda att, acc, v=formula.value: v
+    if isinstance(formula, Not):
+        g = mask_evaluator(formula.child, enc)
+        return lambda att, acc: not g(att, acc)
+    if isinstance(formula, And):
+        gs = [mask_evaluator(c, enc) for c in formula.children]
+        return lambda att, acc: all(g(att, acc) for g in gs)
+    if isinstance(formula, Or):
+        gs = [mask_evaluator(c, enc) for c in formula.children]
+        return lambda att, acc: any(g(att, acc) for g in gs)
+    if isinstance(formula, Implies):
+        gl = mask_evaluator(formula.left, enc)
+        gr = mask_evaluator(formula.right, enc)
+        return lambda att, acc: (not gl(att, acc)) or gr(att, acc)
+    if isinstance(formula, Iff):
+        gl = mask_evaluator(formula.left, enc)
+        gr = mask_evaluator(formula.right, enc)
+        return lambda att, acc: gl(att, acc) == gr(att, acc)
+    raise TypeError(f"not a formula: {formula!r}")
 
 
 def theory_models(arguments: Sequence[str], constraint: Formula) -> Iterator[Interpretation]:
@@ -187,8 +216,7 @@ def theory_models(arguments: Sequence[str], constraint: Formula) -> Iterator[Int
 
     Only att assignments are enumerated; acc variables are functionally
     determined by the attacks.  Att variables pinned by unit literals of the
-    constraint are fixed up front; more than FREE_ATT_LIMIT remaining free att
-    variables trips the resource guard.
+    constraint are fixed up front (see :func:`pin_att_units`).
     """
     enc = AttAccVocabulary(arguments)
     extra = variables(constraint) - set(enc.vocabulary.names)
@@ -196,19 +224,12 @@ def theory_models(arguments: Sequence[str], constraint: Formula) -> Iterator[Int
         raise VocabularyMismatchError(
             f"constraint uses variables outside the att/acc vocabulary: {sorted(extra)}"
         )
-    units = att_unit_literals(constraint, enc)
-    if units is None:
+    pins = pin_att_units(constraint, enc)
+    if pins is None:
         return
-    free = [p for p in range(len(enc.pairs)) if p not in units]
-    if len(free) > FREE_ATT_LIMIT:
-        raise ResourceLimitError(
-            f"{len(free)} free att variables exceed the limit of {FREE_ATT_LIMIT}"
-        )
+    _, base, free = pins
+    check = mask_evaluator(constraint, enc)
     n = enc.n
-    base = 0
-    for p, value in units.items():
-        if value:
-            base |= 1 << p
     width = len(free)
     for m in range(1 << width):
         att_mask = base
@@ -216,9 +237,9 @@ def theory_models(arguments: Sequence[str], constraint: Formula) -> Iterator[Int
             if (m >> (width - 1 - j)) & 1:
                 att_mask |= 1 << free[j]
         acc_mask, _ = kernels.acceptance_mask(attacker_masks_from(att_mask, n), n)
-        true_set = {enc.att_names[p] for p in range(n * n) if (att_mask >> p) & 1}
-        true_set |= {enc.acc_names[i] for i in range(n) if (acc_mask >> i) & 1}
-        if evaluate(constraint, true_set):
+        if check(att_mask, acc_mask):
+            true_set = [enc.att_names[p] for p in range(n * n) if (att_mask >> p) & 1]
+            true_set += [enc.acc_names[i] for i in range(n) if (acc_mask >> i) & 1]
             yield Interpretation(enc.vocabulary, frozenset(true_set))
 
 

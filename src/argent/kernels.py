@@ -1,26 +1,69 @@
-"""Kernel backend selection: compiled extension when available, else pure Python.
+"""Bitmask kernels for stable-extension enumeration.
 
-Set ARGENT_PURE_PYTHON=1 to force the fallback (used by the benchmark and by
-tests that exercise both code paths).
+Arguments are bit positions; `attacker_masks[y]` is the bitmask of arguments
+attacking `y`.  A subset mask `s` is stable when no member is attacked from
+inside `s` and every non-member is.
 """
 
-import os
+from __future__ import annotations
 
-from . import _stablepy
+BACKEND = "python"
 
-if os.environ.get("ARGENT_PURE_PYTHON", "") not in ("", "0"):
-    _impl = _stablepy
-    BACKEND = "python"
-else:
-    try:
-        from . import _stablec as _impl  # type: ignore[attr-defined]
+MAX_ARGUMENTS = 22
 
-        BACKEND = "c"
-    except ImportError:
-        _impl = _stablepy
-        BACKEND = "python"
 
-MAX_ARGUMENTS = _stablepy.MAX_ARGUMENTS
+def stable_masks(attacker_masks, n: int) -> list[int]:
+    """All stable subset masks, ascending.
 
-stable_masks = _impl.stable_masks
-acceptance_mask = _impl.acceptance_mask
+    Depth-first over argument indices, pruning branches whose included members
+    conflict and excluded members can no longer be attacked.
+    """
+    if n < 0 or n > MAX_ARGUMENTS:
+        raise ValueError(f"argument count {n} outside supported range 0..{MAX_ARGUMENTS}")
+    if n == 0:
+        return [0]
+    targets = [0] * n
+    for y in range(n):
+        m = attacker_masks[y]
+        z = 0
+        while m:
+            if m & 1:
+                targets[z] |= 1 << y
+            m >>= 1
+            z += 1
+    res: list[int] = []
+    full = (1 << n) - 1
+    atk = list(attacker_masks)
+
+    def extend(i: int, chosen: int) -> None:
+        if i == n:
+            for y in range(n):
+                if not (chosen >> y) & 1 and not (atk[y] & chosen):
+                    return
+            res.append(chosen)
+            return
+        bit = 1 << i
+        future = full & ~((bit << 1) - 1)
+        if atk[i] & (chosen | future):
+            extend(i + 1, chosen)
+        if not (atk[i] & bit) and not ((atk[i] | targets[i]) & chosen):
+            extend(i + 1, chosen | bit)
+
+    extend(0, 0)
+    res.sort()
+    return res
+
+
+def acceptance_mask(attacker_masks, n: int) -> tuple[int, bool]:
+    """Intersection mask of all stable extensions and a no-extension flag.
+
+    With no stable extension the mask covers every argument and the flag is
+    True (the vacuous-acceptance convention).
+    """
+    masks = stable_masks(attacker_masks, n)
+    if not masks:
+        return (1 << n) - 1, True
+    acc = masks[0]
+    for m in masks[1:]:
+        acc &= m
+    return acc, False

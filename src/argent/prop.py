@@ -4,7 +4,8 @@ Grammar, loosest to tightest: ``<->`` (left-associative), ``->``
 (right-associative), ``|``, ``&``, ``!``.  Atoms are identifiers matching
 ``[a-z][a-zA-Z0-9_]*``, the constants ``true`` / ``false``, or a parenthesized
 formula.  ``#`` starts a comment running to the end of the line.  Belief-base
-files hold one formula per line, blank lines ignored.
+files hold one formula per line, blank lines ignored.  Nesting is bounded by
+``MAX_NESTING`` levels (see :class:`FormulaParser`).
 
 Formulas are immutable trees; equality and set membership are structural.
 Semantic questions (consistency, entailment) go through :func:`is_consistent`
@@ -20,11 +21,18 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ParseError, ResourceLimitError, VocabularyMismatchError
 
-ID_PATTERN = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
+IDENT = r"[a-z][a-zA-Z0-9_]*"
+ID_PATTERN = re.compile(IDENT + r"\Z")
 
 # Exhaustive truth-table search is used up to this many variables; beyond it a
-# unit-propagation/splitting search takes over.
+# unit-propagation/splitting search takes over, and `models` refuses to scan.
 ENUMERATION_LIMIT = 20
+
+# Deepest nesting the parser accepts (see FormulaParser); it keeps every
+# recursive walk over a parsed formula (evaluate, variables, substitute,
+# format_formula, structural equality and hashing) inside Python's default
+# recursion limit.
+MAX_NESTING = 100
 
 CONFLICT_CANDIDATE_LIMIT = 16
 
@@ -114,7 +122,7 @@ def neg(f: Formula) -> Formula:
 # Scanner / parser
 # ---------------------------------------------------------------------------
 
-_IDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*")
+_IDENT_RE = re.compile(IDENT)
 _PUNCT = {"(": "lparen", ")": "rparen", "&": "and", "|": "or", "!": "not", ",": "comma"}
 
 
@@ -173,8 +181,39 @@ def scan(text: str) -> list[Token]:
     return tokens
 
 
+_NESTING_OPS = ("iff", "implies", "or", "and")
+
+
+def _group_levels(tokens: list[Token]) -> dict[int, list[Token]]:
+    """The operators that nest each parenthesized group's operands, keyed by
+    the index of the group's first token (0 for the whole input): every `<->`
+    and `->` at the group's top level, and its first `|` and first `&`."""
+    levels: dict[int, list[Token]] = {}
+    seen: set[tuple[int, str]] = set()
+    starts = [0]
+    for i, tok in enumerate(tokens):
+        kind = tok.kind
+        if kind == "lparen":
+            starts.append(i + 1)
+        elif kind == "rparen":
+            if len(starts) > 1:
+                starts.pop()
+        elif kind in _NESTING_OPS:
+            key = (starts[-1], kind)
+            if kind == "iff" or kind == "implies" or key not in seen:
+                seen.add(key)
+                levels.setdefault(key[0], []).append(tok)
+    return levels
+
+
 class FormulaParser:
     """Recursive-descent parser over scanned tokens.
+
+    `(` and `!` each add a nesting level, as does every `->` and `<->` at the
+    top level of a parenthesized group (or of the whole input), and the
+    group's first `|` and first `&`.  The count bounds the height of the
+    parsed tree; past MAX_NESTING levels parsing stops with a
+    :class:`ParseError` at the offending token.
 
     Subclasses may override :meth:`ident_atom` to give identifiers a different
     meaning (the goal-formula parser does).
@@ -183,6 +222,8 @@ class FormulaParser:
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
+        self._depth = 0
+        self._levels = _group_levels(tokens)
 
     def peek(self) -> Token:
         return self._tokens[self._pos]
@@ -198,6 +239,12 @@ class FormulaParser:
             raise ParseError(f"expected {what}", tok.line, tok.col)
         return tok
 
+    def _nest(self, tok: Token) -> None:
+        """Enter one nesting level at `tok`; the caller decrements `_depth` on leaving."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
+
     def parse(self) -> Formula:
         f = self.iff()
         tok = self.peek()
@@ -206,10 +253,14 @@ class FormulaParser:
         return f
 
     def iff(self) -> Formula:
+        levels = self._levels.get(self._pos, ())
+        for tok in levels:
+            self._nest(tok)
         left = self.implies()
         while self.peek().kind == "iff":
             self.advance()
             left = Iff(left, self.implies())
+        self._depth -= len(levels)
         return left
 
     def implies(self) -> Formula:
@@ -235,16 +286,19 @@ class FormulaParser:
 
     def unary(self) -> Formula:
         if self.peek().kind == "not":
-            self.advance()
-            return Not(self.unary())
+            self._nest(self.advance())
+            f = Not(self.unary())
+            self._depth -= 1
+            return f
         return self.atom()
 
     def atom(self) -> Formula:
         tok = self.peek()
         if tok.kind == "lparen":
-            self.advance()
+            self._nest(self.advance())
             f = self.iff()
             self.expect("rparen", "')'")
+            self._depth -= 1
             return f
         if tok.kind == "const":
             self.advance()
@@ -479,14 +533,15 @@ def models(f: Formula, vocabulary: Vocabulary) -> list[Interpretation]:
 
     Canonical order is lexicographic over the vocabulary order with false
     before true.  Top-level unit literals are fixed before enumerating, so
-    formulas that pin most variables stay cheap.
+    formulas that pin most variables stay cheap; more than ENUMERATION_LIMIT
+    variables left free trips the resource guard.
     """
     extra = variables(f) - set(vocabulary.names)
     if extra:
         raise VocabularyMismatchError(
             f"formula uses variables outside the vocabulary: {sorted(extra)}"
         )
-    units = _unit_literals([f])
+    units = unit_literals([f])
     if units is None:
         return []
     residual = substitute(f, units)
@@ -495,6 +550,11 @@ def models(f: Formula, vocabulary: Vocabulary) -> list[Interpretation]:
     fixed_true = {name for name, val in units.items() if val}
     free = [name for name in vocabulary.names if name not in units]
     width = len(free)
+    if width > ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"2^{width} assignments over {width} free variables exceed the limit "
+            f"of 2^{ENUMERATION_LIMIT}"
+        )
     out = []
     for m in range(1 << width):
         ts = set(fixed_true)
@@ -506,7 +566,7 @@ def models(f: Formula, vocabulary: Vocabulary) -> list[Interpretation]:
     return out
 
 
-def _unit_literals(formulas: Iterable[Formula]):
+def unit_literals(formulas: Iterable[Formula]):
     """Unit literals of a top-level conjunction; None when they contradict."""
     units: dict[str, bool] = {}
     stack = list(formulas)
@@ -567,7 +627,7 @@ def satisfiable(formulas: Sequence[Formula]) -> bool:
 
 def _split_search(flat: list[Formula]) -> bool:
     """Unit propagation plus variable splitting on folded conjunct lists."""
-    units = _unit_literals(flat)
+    units = unit_literals(flat)
     if units is None:
         return False
     if units:

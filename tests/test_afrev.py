@@ -12,6 +12,8 @@ from argent import (
     DALAL,
     Not,
     ParseError,
+    ResourceLimitError,
+    TRUE,
     UnknownArgumentError,
     Var,
     canonical_model,
@@ -21,6 +23,7 @@ from argent import (
     parse_goal,
     revise_af,
     satisfies_theory,
+    theory_models,
 )
 from conftest import oracle_revision_solutions
 
@@ -55,6 +58,17 @@ def test_mode_weights():
     assert w_att > 5 * w_acc
     with pytest.raises(ValueError):
         mode_weights("nope", 3)
+
+
+def test_free_att_guard_matches_theory_models():
+    args = tuple(f"a{i}" for i in range(6))
+    af = ArgumentationFramework(args, frozenset())
+    with pytest.raises(ResourceLimitError) as from_revision:
+        revise_af(af, parse_goal("acc(a0)", AttAccVocabulary(args)))
+    with pytest.raises(ResourceLimitError) as from_theory:
+        next(theory_models(args, TRUE))
+    message = "36 free att variables exceed the limit of 25"
+    assert str(from_revision.value) == str(from_theory.value) == message
 
 
 def test_goal_already_satisfied(f2):

@@ -1,9 +1,18 @@
 """Command-line behavior: output text, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from argent.cli import main
+from argent.prop import MAX_NESTING
 from conftest import DATA
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 PHI = "((a & b) | (!a & c) | !(b | (a & c))) & !d"
 
@@ -223,7 +232,49 @@ def test_resource_guard_exit_code(tmp_path, capsys):
     big = tmp_path / "big.apx"
     big.write_text("".join(f"arg(a{i}). " for i in range(23)))
     assert main(["stable", str(big)]) == 4
+    six = tmp_path / "six.apx"
+    six.write_text("".join(f"arg(a{i}). " for i in range(6)))
+    capsys.readouterr()
+    assert main(["revise-af", "--af", str(six), "--goal", "acc(a0)"]) == 4
+    assert "36 free att variables" in capsys.readouterr().err
+    wide = " | ".join(f"v{i}" for i in range(26))
+    assert main(["models", wide]) == 4
+    assert "2^26 assignments" in capsys.readouterr().err
+    assert main(["revise-formula", "--phi", "v0", "--alpha", wide]) == 4
 
 
 def test_missing_file_exit_code(capsys):
     assert main(["stable", "/nonexistent/x.apx"]) == 2
+
+
+def _run_process(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run(
+        [sys.executable, "-m", "argent.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["models", "!" * 3000 + "a"],
+        ["models", "(" * 2000 + "a" + ")" * 2000],
+        ["models", " -> ".join(["a"] * 2001)],
+        ["models", " <-> ".join(["a"] * 3001)],
+        ["revise-af", "--af", str(DATA / "f1.apx"), "--goal", "!" * 3000 + "acc(u)"],
+    ],
+    ids=["not", "parens", "implies", "iff", "revise-af-goal"],
+)
+def test_deep_nesting_exits_2_without_traceback(argv):
+    proc = _run_process(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"nesting deeper than {MAX_NESTING} levels" in proc.stderr
+
+
+def test_nesting_at_limit_still_parses():
+    proc = _run_process("models", "(" * MAX_NESTING + "a" + ")" * MAX_NESTING)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "{a}\n", "")
+    proc = _run_process("models", "!" * MAX_NESTING + "a")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "{a}\n", "")

@@ -1,27 +1,18 @@
-"""Both kernel backends agree with each other and with set-based enumeration."""
+"""The bitmask kernels agree with set-based enumeration."""
 
 import random
 
 import pytest
 
-from argent import _stablepy
 from argent import kernels
 from conftest import oracle_acceptance, oracle_stable_sets
-
-try:
-    from argent import _stablec
-except ImportError:
-    _stablec = None
-
-BACKENDS = [_stablepy] + ([_stablec] if _stablec else [])
 
 
 def _random_masks(rng, n):
     return [rng.randrange(1 << n) for _ in range(n)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.__name__)
-def test_backend_matches_oracle(backend):
+def test_kernel_matches_oracle():
     rng = random.Random(1234)
     for _ in range(60):
         n = rng.randrange(0, 9)
@@ -37,23 +28,13 @@ def test_backend_matches_oracle(backend):
             sum(1 << args.index(a) for a in ext)
             for ext in oracle_stable_sets(args, attacks)
         }
-        found = backend.stable_masks(masks, n)
+        found = kernels.stable_masks(masks, n)
         assert sorted(found) == found
         assert set(found) == expected
-        acc_mask, vacuous = backend.acceptance_mask(masks, n)
+        acc_mask, vacuous = kernels.acceptance_mask(masks, n)
         acc, vac = oracle_acceptance(args, attacks)
         assert vacuous == vac
         assert acc_mask == sum(1 << args.index(a) for a in acc)
-
-
-@pytest.mark.skipif(_stablec is None, reason="compiled backend unavailable")
-def test_backends_agree():
-    rng = random.Random(4321)
-    for _ in range(200):
-        n = rng.randrange(0, 13)
-        masks = _random_masks(rng, n) if n else []
-        assert _stablepy.stable_masks(masks, n) == _stablec.stable_masks(masks, n)
-        assert _stablepy.acceptance_mask(masks, n) == _stablec.acceptance_mask(masks, n)
 
 
 def test_guard():

@@ -29,6 +29,7 @@ from argent import (
     parse_formula,
     parse_formula_lines,
 )
+from argent.prop import MAX_NESTING
 from conftest import oracle_minimal_conflicts
 
 p = parse_formula
@@ -67,6 +68,50 @@ def test_parse_errors_carry_position():
         p("(a")
     with pytest.raises(ParseError):
         p("A & b")  # uppercase start is not an identifier
+
+
+def test_nesting_limit():
+    limit = MAX_NESTING
+    at_limit = [
+        "(" * limit + "a" + ")" * limit,
+        "!" * limit + "a",
+        " -> ".join(["a"] * (limit + 1)),
+        " <-> ".join(["a"] * (limit + 1)),
+    ]
+    for text in at_limit:
+        f = p(text)
+        assert p(format_formula(f)) == f
+        assert evaluate(f, {"a"})
+    # one level more fails at the operator that crosses the limit
+    over = [
+        ("(" * (limit + 1) + "a" + ")" * (limit + 1), limit + 1),
+        ("!" * (limit + 1) + "a", limit + 1),
+        (" -> ".join(["a"] * (limit + 2)), 3 + 5 * limit),
+        (" <-> ".join(["a"] * (limit + 2)), 3 + 6 * limit),
+    ]
+    for text, col in over:
+        with pytest.raises(ParseError, match="nesting deeper than") as err:
+            p(text)
+        assert (err.value.line, err.value.col) == (1, col)
+    with pytest.raises(ParseError) as err:
+        p("!" * limit + "\n(a)")
+    assert (err.value.line, err.value.col) == (2, 1)
+
+
+def test_nesting_counts_every_operator_layer():
+    # Each group nests its first operand under And, Or and Implies nodes too;
+    # the deepest accepted formula still compares, hashes and prints.
+    text = "a"
+    while True:
+        deeper = f"({text} & a | b -> c)"
+        try:
+            p(deeper)
+        except ParseError:
+            break
+        text = deeper
+    f, g = p(text), p(text)
+    assert f == g and hash(f) == hash(g)
+    assert p(format_formula(f)) == f
 
 
 def test_comments_ignored():
@@ -210,6 +255,15 @@ def test_large_vocabulary_uses_splitting_search():
     assert not entails(chain, Not(Var("v25a")))
     assert is_consistent(chain)
     assert not is_consistent(chain + [Not(Var("v25a"))])
+
+
+def test_models_width_guard():
+    names = tuple(f"v{i}" for i in range(26))
+    with pytest.raises(ResourceLimitError, match=r"2\^26 assignments"):
+        models(p(" | ".join(names)), Vocabulary(names))
+    # only variables left free by the unit literals count
+    pinned = p(" & ".join(names[:20]) + " & (" + " | ".join(names[20:]) + ")")
+    assert len(models(pinned, Vocabulary(names))) == 2**6 - 1
 
 
 def test_minimal_conflicts_resource_guard():
