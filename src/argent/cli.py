@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from . import afrev, eaf as eaf_mod
@@ -339,8 +340,15 @@ def _validate(ns, parser) -> None:
             parser.error("args encode requires --support and --claim")
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call: parsing leaves it unchanged, and
+    importing the module stays cheap."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         ns = parser.parse_args(argv)
         _validate(ns, parser)

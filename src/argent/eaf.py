@@ -200,11 +200,7 @@ def _parse_field_formula(text: str, arg_id: str, line: int) -> Formula:
 def fixed_part(a: StructuredArgument) -> tuple[Formula, ...]:
     """Transmitted support plus transmitted claim (the whole content for a
     deductive argument)."""
-    out: list[Formula] = []
-    for f in a.fixed_support + (a.fixed_claim,):
-        if f not in out:
-            out.append(f)
-    return tuple(out)
+    return tuple(dict.fromkeys(a.fixed_support + (a.fixed_claim,)))
 
 
 def involved_parts(a: StructuredArgument, b: StructuredArgument) -> list[tuple[Formula, ...]]:

@@ -8,14 +8,24 @@ files hold one formula per line, blank lines ignored.  Nesting is bounded by
 ``MAX_NESTING`` levels (see :class:`FormulaParser`).
 
 Formulas are immutable trees; equality and set membership are structural.
-Semantic questions (consistency, entailment) go through :func:`is_consistent`
-and :func:`entails`.
+Each node computes its hash and its variable set once, on first use.
+
+Semantic questions are answered on truth tables: over an atom order of width
+n, a formula compiles to one int of 2^n bits whose bit m is the formula's
+value under assignment m (``order[0]`` is the most significant bit of m), so
+``&``, ``|`` and ``^`` combine whole tables at once.  :func:`satisfiable`
+ANDs the tables of its conjuncts, kept in a small cache keyed by (formula,
+atom order); :func:`entails` goes through it; :func:`models` decodes the set
+bits of one table in canonical order.  Above ``ENUMERATION_LIMIT`` atoms
+:func:`satisfiable` falls back to unit propagation and splitting, and
+:func:`models` refuses.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -24,12 +34,19 @@ from .errors import ParseError, ResourceLimitError, VocabularyMismatchError
 IDENT = r"[a-z][a-zA-Z0-9_]*"
 ID_PATTERN = re.compile(IDENT + r"\Z")
 
-# Exhaustive truth-table search is used up to this many variables; beyond it a
-# unit-propagation/splitting search takes over, and `models` refuses to scan.
+# Widest truth table built, in atoms (a table over n atoms is an int of 2^n
+# bits); beyond it `satisfiable` switches to unit propagation and splitting,
+# and `models` and `dalal_revise` refuse.
 ENUMERATION_LIMIT = 20
 
+# Conjunct tables kept by `satisfiable`, and the widest order for which they
+# and the atom columns are kept (2^12 bits, 512 bytes a table): wider tables
+# seldom recur and would make the caches hold megabytes.
+_TABLE_CACHE_SIZE = 256
+_CACHED_WIDTH = 12
+
 # Deepest nesting the parser accepts (see FormulaParser); it keeps every
-# recursive walk over a parsed formula (evaluate, variables, substitute,
+# recursive walk over a parsed formula (evaluate, truth_table, substitute,
 # format_formula, structural equality and hashing) inside Python's default
 # recursion limit.
 MAX_NESTING = 100
@@ -40,26 +57,49 @@ CONFLICT_CANDIDATE_LIMIT = 16
 class Formula:
     """Base class for formula nodes.  Instances are immutable and hashable."""
 
+    # The hash and the variable set, memoized on first use.
+    __slots__ = ("_hash", "_vars")
+
     def __str__(self) -> str:
         return format_formula(self)
 
+    def __getstate__(self):
+        # Only the fields are pickled: string hashes differ between processes.
+        return self.__dict__
 
-@dataclass(frozen=True)
+
+def _node(cls):
+    """Frozen dataclass whose structural hash is computed once per instance."""
+    cls = dataclass(frozen=True)(cls)
+    field_hash = cls.__hash__
+
+    def __hash__(self):
+        h = getattr(self, "_hash", None)
+        if h is None:
+            h = field_hash(self)
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    cls.__hash__ = __hash__
+    return cls
+
+
+@_node
 class Var(Formula):
     name: str
 
 
-@dataclass(frozen=True)
+@_node
 class Const(Formula):
     value: bool
 
 
-@dataclass(frozen=True)
+@_node
 class Not(Formula):
     child: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class And(Formula):
     children: tuple[Formula, ...]
 
@@ -68,7 +108,7 @@ class And(Formula):
             raise ValueError("And nodes need at least two children; use conj()")
 
 
-@dataclass(frozen=True)
+@_node
 class Or(Formula):
     children: tuple[Formula, ...]
 
@@ -77,13 +117,13 @@ class Or(Formula):
             raise ValueError("Or nodes need at least two children; use disj()")
 
 
-@dataclass(frozen=True)
+@_node
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@_node
 class Iff(Formula):
     left: Formula
     right: Formula
@@ -379,18 +419,25 @@ def format_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 
 def variables(f: Formula) -> frozenset[str]:
-    if isinstance(f, Var):
-        return frozenset((f.name,))
-    if isinstance(f, Const):
-        return frozenset()
-    if isinstance(f, Not):
-        return variables(f.child)
-    if isinstance(f, (And, Or)):
-        out: frozenset[str] = frozenset()
-        for c in f.children:
-            out |= variables(c)
+    """The variable names of `f`, computed once per node asked (not per subtree)."""
+    out = getattr(f, "_vars", None)
+    if out is not None:
         return out
-    return variables(f.left) | variables(f.right)
+    names = set()
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if isinstance(g, Var):
+            names.add(g.name)
+        elif isinstance(g, Not):
+            stack.append(g.child)
+        elif isinstance(g, (And, Or)):
+            stack.extend(g.children)
+        elif not isinstance(g, Const):
+            stack += (g.left, g.right)
+    out = frozenset(names)
+    object.__setattr__(f, "_vars", out)
+    return out
 
 
 def evaluate(f: Formula, true_names) -> bool:
@@ -462,6 +509,94 @@ def substitute(f: Formula, assignment: Mapping[str, bool]) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# Truth tables
+# ---------------------------------------------------------------------------
+
+def check_width(width: int) -> None:
+    """Refuse a truth table over more than ENUMERATION_LIMIT atoms."""
+    if width > ENUMERATION_LIMIT:
+        raise ResourceLimitError(
+            f"2^{width} assignments over {width} free variables exceed the limit "
+            f"of 2^{ENUMERATION_LIMIT}"
+        )
+
+
+def _build_columns(n: int) -> tuple[int, ...]:
+    """Atom columns over an order of width n: bit m of column i is set iff
+    atom i is true in assignment m.  Each column is built by doubling, n
+    shifts however wide it is."""
+    size = 1 << n
+    cols = []
+    for i in range(n):
+        span = 1 << (n - 1 - i)
+        col = ((1 << span) - 1) << span
+        width = span << 1
+        while width < size:
+            col |= col << width
+            width <<= 1
+        cols.append(col)
+    return tuple(cols)
+
+
+_small_columns = lru_cache(maxsize=None)(_build_columns)
+
+
+def atom_tables(
+    order: Sequence[str], fixed: Mapping[str, bool] | None = None
+) -> tuple[dict[str, int], int]:
+    """The truth table of each atom over `order`, and the all-true table.
+
+    Bit m of a table over `order` is its formula's value under assignment m,
+    in which `order[0]` is the most significant bit.  Names in `fixed` get
+    the constant table of their value.
+    """
+    n = len(order)
+    full = (1 << (1 << n)) - 1
+    cols = dict(zip(order, _small_columns(n) if n <= _CACHED_WIDTH else _build_columns(n)))
+    for name, value in (fixed or {}).items():
+        cols[name] = full if value else 0
+    return cols, full
+
+
+def truth_table(f: Formula, cols: Mapping[str, int], full: int) -> int:
+    """Truth table of `f` from the tables of its atoms (see :func:`atom_tables`)."""
+    if isinstance(f, Var):
+        return cols[f.name]
+    if isinstance(f, Not):
+        return full ^ truth_table(f.child, cols, full)
+    if isinstance(f, And):
+        t = full
+        for c in f.children:
+            t &= truth_table(c, cols, full)
+        return t
+    if isinstance(f, Or):
+        t = 0
+        for c in f.children:
+            t |= truth_table(c, cols, full)
+        return t
+    if isinstance(f, Implies):
+        return (full ^ truth_table(f.left, cols, full)) | truth_table(f.right, cols, full)
+    if isinstance(f, Iff):
+        return full ^ truth_table(f.left, cols, full) ^ truth_table(f.right, cols, full)
+    if isinstance(f, Const):
+        return full if f.value else 0
+    raise TypeError(f"not a formula: {f!r}")
+
+
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _cached_table(f: Formula, order: tuple[str, ...]) -> int:
+    return truth_table(f, *atom_tables(order))
+
+
+def _subset_names(names: Sequence[str]) -> list[tuple[str, ...]]:
+    """The names true in each assignment index over `names`, names[0] most significant."""
+    out: list[tuple[str, ...]] = [()]
+    for name in reversed(names):
+        out += [(name,) + t for t in out]
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Vocabularies and interpretations
 # ---------------------------------------------------------------------------
 
@@ -480,6 +615,7 @@ class Vocabulary:
             if name in seen:
                 raise ValueError(f"duplicate variable name: {name!r}")
             seen.add(name)
+        object.__setattr__(self, "name_set", frozenset(seen))
 
     @classmethod
     def of(cls, *names: str) -> "Vocabulary":
@@ -498,7 +634,7 @@ class Vocabulary:
         return self.names.index(name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interpretation:
     """Truth assignment over a vocabulary, given by its set of true variables."""
 
@@ -507,8 +643,8 @@ class Interpretation:
 
     def __post_init__(self):
         object.__setattr__(self, "true_set", frozenset(self.true_set))
-        extra = self.true_set - set(self.vocabulary.names)
-        if extra:
+        if not self.true_set <= self.vocabulary.name_set:
+            extra = self.true_set - self.vocabulary.name_set
             raise VocabularyMismatchError(
                 f"true set mentions variables outside the vocabulary: {sorted(extra)}"
             )
@@ -532,37 +668,64 @@ def models(f: Formula, vocabulary: Vocabulary) -> list[Interpretation]:
     """All interpretations over `vocabulary` satisfying `f`, in canonical order.
 
     Canonical order is lexicographic over the vocabulary order with false
-    before true.  Top-level unit literals are fixed before enumerating, so
-    formulas that pin most variables stay cheap; more than ENUMERATION_LIMIT
+    before true.  Top-level unit literals are fixed before the table is built,
+    so formulas that pin most variables stay cheap; more than ENUMERATION_LIMIT
     variables left free trips the resource guard.
     """
-    extra = variables(f) - set(vocabulary.names)
+    units = pinned_literals(f, vocabulary)
+    if units is None:
+        return []
+    free = tuple(name for name in vocabulary.names if name not in units)
+    fixed_true = [name for name, value in units.items() if value]
+    table = truth_table(f, *atom_tables(free, units))
+    return table_models(table, vocabulary, free, fixed_true)
+
+
+def pinned_literals(f: Formula, vocabulary: Vocabulary):
+    """Unit literals of `f`, checked for a truth table over `vocabulary`;
+    None when they show that `f` has no model.
+
+    Raises VocabularyMismatchError when `f` mentions names outside the
+    vocabulary, and ResourceLimitError when more than ENUMERATION_LIMIT
+    vocabulary names stay free.
+    """
+    extra = variables(f) - vocabulary.name_set
     if extra:
         raise VocabularyMismatchError(
             f"formula uses variables outside the vocabulary: {sorted(extra)}"
         )
     units = unit_literals([f])
     if units is None:
-        return []
-    residual = substitute(f, units)
-    if residual == FALSE:
-        return []
-    fixed_true = {name for name, val in units.items() if val}
-    free = [name for name in vocabulary.names if name not in units]
-    width = len(free)
+        return None
+    width = len(vocabulary) - len(units)
     if width > ENUMERATION_LIMIT:
-        raise ResourceLimitError(
-            f"2^{width} assignments over {width} free variables exceed the limit "
-            f"of 2^{ENUMERATION_LIMIT}"
-        )
+        if substitute(f, units) == FALSE:
+            return None
+        check_width(width)
+    return units
+
+
+def table_models(
+    table: int,
+    vocabulary: Vocabulary,
+    order: Sequence[str],
+    fixed_true: Iterable[str] = (),
+) -> list[Interpretation]:
+    """The interpretations over `vocabulary` of the set bits of a truth table
+    over `order`, in ascending bit order; the names in `fixed_true` are true
+    in each.  With `order` a subsequence of the vocabulary order the result is
+    in canonical order."""
+    low = len(order) // 2
+    fixed = tuple(fixed_true)
+    high_sets = [frozenset(fixed + t) for t in _subset_names(order[: len(order) - low])]
+    low_sets = [frozenset(t) for t in _subset_names(order[len(order) - low:])]
+    mask = (1 << low) - 1
+    bits = bin(table)[:1:-1]
     out = []
-    for m in range(1 << width):
-        ts = set(fixed_true)
-        for j in range(width):
-            if (m >> (width - 1 - j)) & 1:
-                ts.add(free[j])
-        if evaluate(residual, ts):
-            out.append(Interpretation(vocabulary, frozenset(ts)))
+    m = bits.find("1")
+    while m >= 0:
+        out.append(Interpretation(vocabulary, high_sets[m >> low] | low_sets[m & mask]))
+        m = bits.find("1", m + 1)
     return out
 
 
@@ -606,23 +769,37 @@ def _flatten_conjuncts(formulas: Iterable[Formula]):
 
 def satisfiable(formulas: Sequence[Formula]) -> bool:
     """Joint satisfiability of a set of formulas over their own vocabulary."""
-    flat = _flatten_conjuncts(formulas)
-    if flat is None:
-        return False
+    flat = []
+    stack = list(formulas)
+    while stack:
+        g = stack.pop()
+        if isinstance(g, And):
+            stack.extend(g.children)
+        elif isinstance(g, Const):
+            if not g.value:
+                return False
+        else:
+            flat.append(g)
     if not flat:
         return True
-    names = set()
+    names = frozenset().union(*map(variables, flat))
+    if len(names) > ENUMERATION_LIMIT:
+        flat = _flatten_conjuncts(flat)
+        return flat is not None and (not flat or _split_search(flat))
+    order = tuple(sorted(names))
+    t = -1
+    if len(order) <= _CACHED_WIDTH:
+        for g in flat:
+            t &= _cached_table(g, order)
+            if not t:
+                return False
+        return True
+    cols, full = atom_tables(order)
     for g in flat:
-        names |= variables(g)
-    if len(names) <= ENUMERATION_LIMIT:
-        order = sorted(names)
-        width = len(order)
-        for m in range(1 << width):
-            ts = {order[j] for j in range(width) if (m >> j) & 1}
-            if all(evaluate(g, ts) for g in flat):
-                return True
-        return False
-    return _split_search(flat)
+        t &= truth_table(g, cols, full)
+        if not t:
+            return False
+    return True
 
 
 def _split_search(flat: list[Formula]) -> bool:
@@ -669,10 +846,7 @@ def minimal_conflict_subsets(
     found conflict are skipped.  If `context` alone is inconsistent the empty
     set is the unique answer.
     """
-    cand: list[Formula] = []
-    for f in candidates:
-        if f not in cand:
-            cand.append(f)
+    cand = list(dict.fromkeys(candidates))
     if len(cand) > max_candidates:
         raise ResourceLimitError(
             f"{len(cand)} candidate formulas exceed the limit of {max_candidates}"

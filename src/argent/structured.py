@@ -95,11 +95,7 @@ class StructuredArgument:
     @property
     def content(self) -> tuple[Formula, ...]:
         """Support plus full claim, deduplicated, declaration order."""
-        out: list[Formula] = []
-        for f in self.support + (self.full_claim,):
-            if f not in out:
-                out.append(f)
-        return tuple(out)
+        return tuple(dict.fromkeys(self.support + (self.full_claim,)))
 
     @property
     def is_completed(self) -> bool:
@@ -211,18 +207,12 @@ def exhaustive_graph(
     Identifiers a1, a2, ... follow enumeration order: support subsets by size
     then position, claims in pool order.
     """
-    base_c: list[Formula] = []
-    for f in base:
-        if f not in base_c:
-            base_c.append(f)
+    base_c = list(dict.fromkeys(base))
     if len(base_c) > max_base:
         raise ResourceLimitError(
             f"{len(base_c)} belief-base formulas exceed the limit of {max_base}"
         )
-    pool_c: list[Formula] = []
-    for f in pool:
-        if f not in pool_c:
-            pool_c.append(f)
+    pool_c = list(dict.fromkeys(pool))
     args: list[StructuredArgument] = []
     for r in range(len(base_c) + 1):
         for combo in combinations(range(len(base_c)), r):
@@ -280,14 +270,9 @@ def complete_enthymeme(
     and minimality checks of deductive arguments (base membership excepted,
     since the transmitted part comes from another agent).
     """
-    base_c: list[Formula] = []
-    for f in base:
-        if f not in base_c and f not in e.fixed_support:
-            base_c.append(f)
-    claims: list[Formula] = []
-    for f in list(pool) + [e.fixed_claim]:
-        if f not in claims:
-            claims.append(f)
+    transmitted = set(e.fixed_support)
+    base_c = [f for f in dict.fromkeys(base) if f not in transmitted]
+    claims = list(dict.fromkeys([*pool, e.fixed_claim]))
     out: list[StructuredArgument] = []
     for r in range(min(max_added, len(base_c)) + 1):
         for combo in combinations(range(len(base_c)), r):

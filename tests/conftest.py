@@ -4,6 +4,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from argent import (
     ArgumentationFramework,
@@ -13,6 +14,11 @@ from argent import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+# Property tests draw the same examples on every run and have no time limit
+# per example, so the suite stays deterministic.
+settings.register_profile("argent", derandomize=True, deadline=None, database=None)
+settings.load_profile("argent")
 
 _acceptance_results = []
 

@@ -278,3 +278,26 @@ def test_nesting_at_limit_still_parses():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "{a}\n", "")
     proc = _run_process("models", "!" * MAX_NESTING + "a")
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "{a}\n", "")
+
+
+def test_repeated_main_calls_match_fresh_runs(capsys, monkeypatch):
+    """`main` reuses one parser; each call must print what a fresh process prints."""
+    monkeypatch.setenv("COLUMNS", "80")
+    f3 = str(DATA / "f3.eaf")
+    commands = [
+        ["models", PHI, "--vocab", "a,b,c,d", "--emit-structured"],
+        ["models", PHI, "--vocab", "a,b,c,d"],
+        ["eaf", "revise", "--eaf", f3],
+        ["eaf", "revise", "--eaf", f3, "--goal", "acc(e1)", "--mode", "dalal"],
+        ["eaf", "revise", "--eaf", f3, "--goal", "acc(e1)"],
+        ["no-such-command"],
+    ]
+    fresh = []
+    for argv in commands:
+        proc = _run_process(*argv)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    for _ in range(2):
+        for argv, expected in zip(commands, fresh):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == expected, argv
