@@ -813,7 +813,7 @@ def _split_search(flat: list[Formula]) -> bool:
             return False
     if not flat:
         return True
-    var = next(iter(variables(flat[0])))
+    var = min(variables(flat[0]))  # not set order, which follows the string hash seed
     for val in (True, False):
         branch = _flatten_conjuncts(substitute(g, {var: val}) for g in flat)
         if branch is None:

@@ -1,6 +1,10 @@
 """Formula parsing, printing, models, entailment, minimal conflicts."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -255,6 +259,38 @@ def test_large_vocabulary_uses_splitting_search():
     assert not entails(chain, Not(Var("v25a")))
     assert is_consistent(chain)
     assert not is_consistent(chain + [Not(Var("v25a"))])
+
+
+# Counts the `substitute` calls of one splitting search over 22 variables.
+_SPLIT_WORK = """
+import random
+from argent import prop
+rng = random.Random(7)
+names = [f"x{i}" for i in range(22)]
+calls = 0
+substitute = prop.substitute
+def counting(f, assignment):
+    global calls
+    calls += 1
+    return substitute(f, assignment)
+prop.substitute = counting
+clauses = [prop.disj(prop.Var(v) if rng.random() < 0.5 else prop.Not(prop.Var(v))
+                     for v in rng.sample(names, 3)) for _ in range(95)]
+print(prop.satisfiable(clauses), calls)
+"""
+
+
+def test_splitting_search_work_ignores_hash_seed():
+    # The split variable must not come from set order, which follows the
+    # per-process string hash seed: the same input must cost the same work.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for seed in ("0", "1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _SPLIT_WORK], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.add(done.stdout)
+    assert len(outputs) == 1, outputs
 
 
 def test_models_width_guard():
