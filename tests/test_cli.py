@@ -301,3 +301,194 @@ def test_repeated_main_calls_match_fresh_runs(capsys, monkeypatch):
             code = main(argv)
             captured = capsys.readouterr()
             assert (code, captured.out, captured.err) == expected, argv
+
+
+# ---------------------------------------------------------------------------
+# Validation errors exit 2 with one `error:` line
+# ---------------------------------------------------------------------------
+
+def run_err(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_unknown_argument_exits_2(capsys):
+    code, out, err = run_err(
+        capsys, "revise-af", "--af", str(DATA / "f1.apx"), "--goal", "acc(nope)"
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: unknown argument 'nope' at line 1, col 5\n"
+
+
+def test_vocabulary_mismatch_exits_2(capsys):
+    code, out, err = run_err(capsys, "models", "a & b", "--vocab", "a")
+    assert (code, out) == (2, "")
+    assert err == "error: formula uses variables outside the vocabulary: ['b']\n"
+
+
+def test_value_error_exits_2(capsys):
+    code, out, err = run_err(capsys, "models", "a", "--vocab", "a,a")
+    assert (code, out) == (2, "")
+    assert err == "error: duplicate variable name: 'a'\n"
+
+
+def test_library_error_exits_2(capsys, monkeypatch):
+    from argent import cli
+    from argent.errors import ArgentError
+
+    def fail(af):
+        raise ArgentError("refused")
+
+    monkeypatch.setattr(cli, "stable_extensions", fail)
+    code, out, err = run_err(capsys, "stable", str(DATA / "f1.apx"))
+    assert (code, out, err) == (2, "", "error: refused\n")
+
+
+# ---------------------------------------------------------------------------
+# --emit-structured mirrors the text output field for field
+# ---------------------------------------------------------------------------
+
+def members(text):
+    """Items of a `{x,y}` or `{(x,y),(u,v)}` line, in printed order."""
+    inner = text[text.index("{") + 1 : text.rindex("}")]
+    if inner.startswith("("):
+        return [pair.split(",") for pair in inner[1:-1].split("),(")] if inner else []
+    return inner.split(",") if inner else []
+
+
+def argument_fields(text):
+    """support and claim of a printed `<{f; g}, claim>` argument."""
+    support, claim = text[2:-1].split("}, ")
+    return {"support": support.split("; ") if support else [], "claim": claim}
+
+
+def apx_attacks(lines):
+    return [line[4:-2].split(",") for line in lines if line.startswith("att(")]
+
+
+def both_outputs(capsys, argv):
+    code, text = run(capsys, *argv)
+    code_s, structured = run(capsys, *argv, "--emit-structured")
+    assert code == code_s == 0
+    return text.splitlines(), json.loads(structured)
+
+
+def read_stable(lines):
+    count = int(lines[0].split(": ")[1])
+    return {
+        "extensions": [sorted(members(line)) for line in lines[1 : 1 + count]],
+        "skeptical": sorted(members(lines[1 + count])),
+        "vacuous": lines[2 + count] == "vacuous: true",
+    }
+
+
+def read_models(lines):
+    return {"models": [members(line) for line in lines]}
+
+
+def read_classify(lines):
+    fields = dict(line.split(": ", 1) for line in lines[:5])
+    return {
+        "deductive": members(fields["deductive"]),
+        "enthymemes": members(fields["enthymemes"]),
+        "certain": members(fields["certain"]),
+        "questionable": members(fields["questionable"]),
+        "deductive_core": members(fields["deductive_core"]),
+        "warnings": [line[9:] for line in lines if line.startswith("warning: ")],
+        "notes": [line[6:] for line in lines if line.startswith("note: ")],
+    }
+
+
+def read_acceptable(lines):
+    blocks, block = [], None
+    for line in lines[1:]:
+        if line.startswith("entry "):
+            block = []
+            blocks.append(block)
+        else:
+            block.append(line)
+    assert len(blocks) == int(lines[0].split(": ")[1])
+    entries = []
+    for block in blocks:
+        fields = dict(line.split(": ", 1) for line in block if ": " in line)
+        entries.append(
+            {
+                "attacks": apx_attacks(block),
+                "acceptable": fields["acceptable"] == "yes",
+                "witness": {
+                    key[8:]: argument_fields(value)
+                    for key, value in fields.items()
+                    if key.startswith("witness ")
+                },
+                "reason": fields.get("reason"),
+            }
+        )
+    return {"entries": entries}
+
+
+def read_generate(lines):
+    count = int(lines[0].split(": ")[1])
+    return {
+        "arguments": {
+            line.split(": ", 1)[0]: argument_fields(line.split(": ", 1)[1])
+            for line in lines[1 : 1 + count]
+        },
+        "attacks": apx_attacks(lines[1 + count :]),
+    }
+
+
+def read_encode(lines):
+    (line,) = lines
+    return argument_fields(line)
+
+
+F3 = str(DATA / "f3.eaf")
+
+
+@pytest.mark.parametrize(
+    "argv, read",
+    [
+        (["stable", str(DATA / "f1.apx")], read_stable),
+        (["stable", str(DATA / "f2.apx")], read_stable),
+        (["revise-formula", "--phi", PHI, "--alpha", "a & !b & c", "--vocab", "a,b,c,d"], read_models),
+        (["revise-formula", "--phi", "a & b", "--alpha", "!a | !b"], read_models),
+        (["eaf", "classify", "--eaf", F3], read_classify),
+        (["eaf", "classify", "--eaf", str(DATA / "f6.eaf")], read_classify),
+        (["eaf", "classify", "--eaf", str(DATA / "media_a1.eaf")], read_classify),
+        (["eaf", "classify", "--eaf", str(DATA / "media_a2.eaf")], read_classify),
+        (["eaf", "classify", "--eaf", str(DATA / "media_a3.eaf")], read_classify),
+        (
+            ["eaf", "acceptable", "--eaf", F3, "--goal", "acc(e1)",
+             "--beliefs", str(DATA / "beliefs_completion.txt"),
+             "--claims", str(DATA / "claims_completion.txt")],
+            read_acceptable,
+        ),
+        (
+            ["args", "generate", "--beliefs", str(DATA / "beliefs_rebuttal.txt"),
+             "--claims", str(DATA / "claims_rebuttal.txt")],
+            read_generate,
+        ),
+        (
+            ["args", "generate", "--beliefs", str(DATA / "beliefs_completion.txt"),
+             "--claims", str(DATA / "claims_completion.txt")],
+            read_generate,
+        ),
+        (
+            ["args", "encode", "--support", "rain_predicted ; rain_predicted -> take_umbrella",
+             "--claim", "take_umbrella", "--certainty", str(DATA / "umbrella.certainty"),
+             "--tau", "0.5"],
+            read_encode,
+        ),
+        (["args", "encode", "--support", "a ; a -> b", "--claim", "b"], read_encode),
+    ],
+    ids=[
+        "stable-f1", "stable-f2", "revise-formula-readme", "revise-formula-pair",
+        "classify-f3", "classify-f6", "classify-media-a1", "classify-media-a2",
+        "classify-media-a3", "acceptable-f3", "generate-rebuttal", "generate-completion",
+        "encode-readme", "encode-plain",
+    ],
+)
+def test_structured_output_mirrors_text(capsys, argv, read):
+    lines, data = both_outputs(capsys, argv)
+    assert read(lines) == data

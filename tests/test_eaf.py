@@ -357,3 +357,20 @@ def test_revision_oracle_certifies_f3(f3):
     expected = {atts for r, atts, _ in solutions if r == best}
     out = revise_eaf(f3, "acc(e1)", "deductive", ATT_ONLY)
     assert out.attack_sets() == expected
+
+
+def test_acceptability_reason_without_proper_recompletion():
+    # Adding (e,d) needs e's content to conflict with d's; e has nothing to
+    # recomplete from an empty belief base, so its current reading is the only one.
+    eaf = parse_eaf(
+        "enthymeme e { support: a  claim: true }\n"
+        "deductive d { support: b  claim: b }\n"
+    )
+    out = revise_eaf(eaf, "att(e,d)", "none", ATT_ONLY)
+    assert [sorted(entry.af.attacks) for entry in out] == [[("e", "d")]]
+    (result,) = acceptable_afs(eaf, out, [], [])
+    assert not result.acceptable and not result.witness
+    assert result.reason == (
+        "attack (e,d): cannot be justified; no proper recompletion of e is "
+        "available from the belief base"
+    )

@@ -319,3 +319,39 @@ def test_interpretation_validates_true_set():
     v = Vocabulary.of("a", "b")
     with pytest.raises(VocabularyMismatchError):
         Interpretation(v, frozenset({"c"}))
+
+
+def test_uncached_table_path_matches_splitting_search():
+    # 13 to 20 atoms: too wide for the table cache, narrow enough for a table.
+    from argent.prop import _CACHED_WIDTH, _flatten_conjuncts, _split_search, satisfiable, variables
+
+    rng = random.Random(2024)
+    answers = set()
+    for width in range(_CACHED_WIDTH + 1, 21):
+        names = [f"x{i}" for i in range(width)]
+        for _ in range(3):
+            clauses = [
+                Or(tuple(Var(v) if rng.random() < 0.5 else Not(Var(v)) for v in rng.sample(names, 3)))
+                for _ in range(round(4.26 * width))
+            ]
+            assert len(set().union(*map(variables, clauses))) == width
+            flat = _flatten_conjuncts(clauses)
+            expected = flat is not None and (not flat or _split_search(flat))
+            assert satisfiable(clauses) == expected
+            answers.add(expected)
+    assert answers == {True, False}
+
+
+def test_substitute_folds_biconditionals():
+    from argent.prop import substitute
+
+    a, b, c = Var("a"), Var("b"), Var("c")
+    assert substitute(Iff(a, b), {"a": True}) == b
+    assert substitute(Iff(a, b), {"a": False}) == Not(b)
+    assert substitute(Iff(a, b), {"b": True}) == a
+    assert substitute(Iff(a, b), {"b": False}) == Not(a)
+    assert substitute(Iff(a, b), {"a": True, "b": False}) == FALSE
+    assert substitute(Iff(a, b), {"a": False, "b": False}) == TRUE
+    assert substitute(Iff(a, b), {"c": True}) == Iff(a, b)
+    assert substitute(Iff(Iff(a, b), c), {"a": True}) == Iff(b, c)
+    assert substitute(Iff(And((a, b)), c), {"b": False}) == Not(c)
