@@ -23,9 +23,9 @@ from typing import Iterable
 
 from . import kernels
 from .af import ArgumentationFramework, format_af, format_extension, format_pair_set
-from .encoding import AttAccVocabulary, attacker_masks_from, mask_evaluator, pin_att_units
+from .encoding import AttAccVocabulary, CandidateBits, attacker_masks_from, pin_att_units
 from .errors import ParseError, ResourceLimitError, UnknownArgumentError
-from .prop import And, Formula, FormulaParser, TRUE, Var, satisfiable, scan
+from .prop import And, Formula, FormulaParser, TRUE, Var, satisfiable, scan, truth_table, variables
 
 DALAL = "dalal"
 ATT_WEIGHTED = "att-weighted"
@@ -156,7 +156,9 @@ def revise_af(
     baseline = bin(start ^ base_att).count("1")
 
     acc0_mask, _ = kernels.acceptance_mask(attacker_masks_from(base_att, n), n)
-    check = mask_evaluator(combined, enc)
+    foreign = variables(combined) - enc.vocabulary.name_set
+    if foreign:
+        raise UnknownArgumentError(f"variable {min(foreign)!r} is not an att/acc variable")
 
     hits: list[tuple[int, tuple[int, ...], int, int, bool]] = []
     best: int | None = None
@@ -170,7 +172,7 @@ def revise_af(
             acc_mask, vacuous = kernels.acceptance_mask(attacker_masks_from(att, n), n)
             if require_extension and vacuous:
                 continue
-            if not check(att, acc_mask):
+            if not truth_table(combined, CandidateBits(enc, att, acc_mask), 1):
                 continue
             acc_flips = bin(acc_mask ^ acc0_mask).count("1")
             total = w_att * (baseline + k) + w_acc * acc_flips

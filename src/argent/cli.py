@@ -25,13 +25,7 @@ from .af import (
 )
 from .afrev import MODES, RevisionOutcome, format_outcome, outcome_to_dict, parse_goal, revise_af
 from .encoding import AttAccVocabulary
-from .errors import (
-    ArgentError,
-    ParseError,
-    ResourceLimitError,
-    UnknownArgumentError,
-    VocabularyMismatchError,
-)
+from .errors import ArgentError, ResourceLimitError
 from .prop import (
     Vocabulary,
     format_formula,
@@ -356,19 +350,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return ns.func(ns)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (UnknownArgumentError, VocabularyMismatchError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ArgentError as exc:
+    except (ArgentError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

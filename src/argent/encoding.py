@@ -17,25 +17,24 @@ for tiny instances, since the quantifier expansion is exponential.
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import kernels
 from .af import ArgumentationFramework, skeptical_accepted
-from .errors import ResourceLimitError, UnknownArgumentError, VocabularyMismatchError
+from .errors import ResourceLimitError, VocabularyMismatchError
 from .prop import (
-    And,
     Const,
     Formula,
     Iff,
     Implies,
     Interpretation,
     Not,
-    Or,
     Var,
     Vocabulary,
     conj,
     neg,
     substitute,
+    truth_table,
     unit_literals,
     variables,
 )
@@ -179,36 +178,24 @@ def pin_att_units(formula: Formula, enc: AttAccVocabulary):
     return pinned, value, free
 
 
-def mask_evaluator(formula: Formula, enc: AttAccVocabulary) -> Callable[[int, int], bool]:
-    """Closure evaluating `formula` on (att bitmask, acc bitmask)."""
-    if isinstance(formula, Var):
-        p = enc.att_position(formula.name)
-        if p is not None:
-            return lambda att, acc, p=p: bool((att >> p) & 1)
-        i = enc.acc_position(formula.name)
-        if i is None:
-            raise UnknownArgumentError(f"variable {formula.name!r} is not an att/acc variable")
-        return lambda att, acc, i=i: bool((acc >> i) & 1)
-    if isinstance(formula, Const):
-        return lambda att, acc, v=formula.value: v
-    if isinstance(formula, Not):
-        g = mask_evaluator(formula.child, enc)
-        return lambda att, acc: not g(att, acc)
-    if isinstance(formula, And):
-        gs = [mask_evaluator(c, enc) for c in formula.children]
-        return lambda att, acc: all(g(att, acc) for g in gs)
-    if isinstance(formula, Or):
-        gs = [mask_evaluator(c, enc) for c in formula.children]
-        return lambda att, acc: any(g(att, acc) for g in gs)
-    if isinstance(formula, Implies):
-        gl = mask_evaluator(formula.left, enc)
-        gr = mask_evaluator(formula.right, enc)
-        return lambda att, acc: (not gl(att, acc)) or gr(att, acc)
-    if isinstance(formula, Iff):
-        gl = mask_evaluator(formula.left, enc)
-        gr = mask_evaluator(formula.right, enc)
-        return lambda att, acc: gl(att, acc) == gr(att, acc)
-    raise TypeError(f"not a formula: {formula!r}")
+class CandidateBits:
+    """Read-only view of one candidate (att bitmask, acc bitmask) as 1-bit
+    truth tables by variable name: `truth_table(f, bits, 1)` is the value of
+    `f` for the candidate.  Names must be att/acc variables of `enc`."""
+
+    __slots__ = ("_att_index", "_acc_index", "_att", "_acc")
+
+    def __init__(self, enc: AttAccVocabulary, att: int, acc: int):
+        self._att_index = enc._att_index
+        self._acc_index = enc._acc_index
+        self._att = att
+        self._acc = acc
+
+    def __getitem__(self, name: str) -> int:
+        p = self._att_index.get(name)
+        if p is None:
+            return self._acc >> self._acc_index[name] & 1
+        return self._att >> p & 1
 
 
 def theory_models(arguments: Sequence[str], constraint: Formula) -> Iterator[Interpretation]:
@@ -219,7 +206,7 @@ def theory_models(arguments: Sequence[str], constraint: Formula) -> Iterator[Int
     constraint are fixed up front (see :func:`pin_att_units`).
     """
     enc = AttAccVocabulary(arguments)
-    extra = variables(constraint) - set(enc.vocabulary.names)
+    extra = variables(constraint) - enc.vocabulary.name_set
     if extra:
         raise VocabularyMismatchError(
             f"constraint uses variables outside the att/acc vocabulary: {sorted(extra)}"
@@ -228,7 +215,6 @@ def theory_models(arguments: Sequence[str], constraint: Formula) -> Iterator[Int
     if pins is None:
         return
     _, base, free = pins
-    check = mask_evaluator(constraint, enc)
     n = enc.n
     width = len(free)
     for m in range(1 << width):
@@ -237,7 +223,7 @@ def theory_models(arguments: Sequence[str], constraint: Formula) -> Iterator[Int
             if (m >> (width - 1 - j)) & 1:
                 att_mask |= 1 << free[j]
         acc_mask, _ = kernels.acceptance_mask(attacker_masks_from(att_mask, n), n)
-        if check(att_mask, acc_mask):
+        if truth_table(constraint, CandidateBits(enc, att_mask, acc_mask), 1):
             true_set = [enc.att_names[p] for p in range(n * n) if (att_mask >> p) & 1]
             true_set += [enc.acc_names[i] for i in range(n) if (acc_mask >> i) & 1]
             yield Interpretation(enc.vocabulary, frozenset(true_set))

@@ -568,6 +568,8 @@ def truth_table(f: Formula, cols: Mapping[str, int], full: int) -> int:
         t = full
         for c in f.children:
             t &= truth_table(c, cols, full)
+            if not t:
+                break
         return t
     if isinstance(f, Or):
         t = 0

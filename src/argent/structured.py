@@ -5,6 +5,14 @@ for enthymemes completed from the receiving agent's beliefs, an added support
 and a possibly strengthened full claim.  The conflict-relevant content of an
 argument is its whole support together with its full claim.
 
+Building a base's arguments and completing an enthymeme are one search,
+:func:`_walk`, over supports made of a fixed part plus subsets of the other
+base formulas, by size and then by position.  A leave-one-out subset of a
+consistent support is consistent and was visited earlier, so the walk reads
+off its records, with no satisfiability test, that a support with an
+inconsistent such subset is inconsistent and that a claim one of them entails
+is entailed, but not minimally.
+
 Certainty values are exact rationals so threshold comparisons never suffer
 float noise.
 """
@@ -14,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .af import ArgumentationFramework
 from .errors import ParseError, ResourceLimitError
@@ -175,22 +183,53 @@ def validate_deductive(
     consistent = is_consistent(support)
     entails_claim = entails(support, claim)
     redundant = ()
-    minimal = True
     if consistent and entails_claim:
-        redundant = tuple(
-            f
-            for i, f in enumerate(support)
-            if entails(support[:i] + support[i + 1:], claim)
-        )
-        minimal = not redundant
+        drops = _droppable(support, claim, range(len(support)))
+        redundant = tuple(f for f, drop in zip(support, drops) if drop)
     return DeductiveReport(
         in_base=not missing,
         consistent=consistent,
         entails_claim=entails_claim,
-        minimal=minimal,
+        minimal=not redundant,
         missing_from_base=missing,
         redundant=redundant,
     )
+
+
+def _droppable(support: list[Formula], claim: Formula, positions: Iterable[int]):
+    """Whether `support` still entails `claim` without each given position."""
+    return (entails(support[:i] + support[i + 1:], claim) for i in positions)
+
+
+def _walk(
+    fixed: list[Formula], extra: Sequence[Formula], claims: Sequence[Formula], max_size: int
+) -> Iterator[tuple[tuple[Formula, ...], Formula, bool]]:
+    """(chosen, claim, minimal) for each consistent support `fixed` + `chosen`,
+    with up to `max_size` formulas chosen from `extra` by size and then
+    position, and each claim it entails in order; `minimal` says that no
+    chosen formula can be dropped."""
+    entailed: dict[tuple[int, ...], int] = {}  # consistent subset -> bitmask of claims
+    for r in range(min(max_size, len(extra)) + 1):
+        for combo in combinations(range(len(extra)), r):
+            below = 0
+            for i in range(r):
+                mask = entailed.get(combo[:i] + combo[i + 1:])
+                if mask is None:  # that subset is inconsistent, so this one is too
+                    break
+                below |= mask
+            else:
+                chosen = tuple(extra[i] for i in combo)
+                support = fixed + list(chosen)
+                if not is_consistent(support):
+                    continue
+                hits = [
+                    (j, claim)
+                    for j, claim in enumerate(claims)
+                    if below >> j & 1 or entails(support, claim)
+                ]
+                entailed[combo] = sum(1 << j for j, _ in hits)
+                for j, claim in hits:
+                    yield chosen, claim, not below >> j & 1
 
 
 def is_defeater(attacker: StructuredArgument, target: StructuredArgument) -> bool:
@@ -214,14 +253,9 @@ def exhaustive_graph(
         )
     pool_c = list(dict.fromkeys(pool))
     args: list[StructuredArgument] = []
-    for r in range(len(base_c) + 1):
-        for combo in combinations(range(len(base_c)), r):
-            support = [base_c[i] for i in combo]
-            if not is_consistent(support):
-                continue
-            for claim in pool_c:
-                if validate_deductive(support, claim, base_c).ok:
-                    args.append(StructuredArgument.deductive(f"a{len(args) + 1}", support, claim))
+    for support, claim, minimal in _walk([], base_c, pool_c, len(base_c)):
+        if minimal:
+            args.append(StructuredArgument.deductive(f"a{len(args) + 1}", support, claim))
     attacks = frozenset(
         (x.id, y.id) for x in args for y in args if is_defeater(x, y)
     )
@@ -272,37 +306,20 @@ def complete_enthymeme(
     """
     transmitted = set(e.fixed_support)
     base_c = [f for f in dict.fromkeys(base) if f not in transmitted]
-    claims = list(dict.fromkeys([*pool, e.fixed_claim]))
+    claims = [
+        beta for beta in dict.fromkeys([*pool, e.fixed_claim]) if entails([beta], e.fixed_claim)
+    ]
+    fixed = list(e.fixed_support)
     out: list[StructuredArgument] = []
-    for r in range(min(max_added, len(base_c)) + 1):
-        for combo in combinations(range(len(base_c)), r):
-            psi = tuple(base_c[i] for i in combo)
-            support = list(e.fixed_support) + list(psi)
-            if not is_consistent(support):
-                continue
-            for beta in claims:
-                if not entails(support, beta) or not entails([beta], e.fixed_claim):
-                    continue
-                if strict and not _strict_ok(support, beta):
-                    continue
-                out.append(
-                    StructuredArgument.enthymeme(
-                        e.id, e.fixed_support, e.fixed_claim, psi, beta
-                    )
-                )
+    for psi, beta, minimal in _walk(fixed, base_c, claims, max_added):
+        if strict and (not minimal or any(_droppable(fixed + list(psi), beta, range(len(fixed))))):
+            continue
+        out.append(StructuredArgument.enthymeme(e.id, e.fixed_support, e.fixed_claim, psi, beta))
     return out
-
-
-def _strict_ok(support: Sequence[Formula], claim: Formula) -> bool:
-    report = validate_deductive(support, claim, support)
-    return report.consistent and report.entails_claim and report.minimal
 
 
 def added_support_is_tight(arg: StructuredArgument) -> bool:
     """No added formula can be dropped while the support still entails the claim."""
-    fixed = list(arg.fixed_support)
-    added = list(arg.added_support)
-    for i in range(len(added)):
-        if entails(fixed + added[:i] + added[i + 1:], arg.full_claim):
-            return False
-    return True
+    support = list(arg.support)
+    added = range(len(arg.fixed_support), len(support))
+    return not any(_droppable(support, arg.full_claim, added))

@@ -451,7 +451,10 @@ F3 = str(DATA / "f3.eaf")
     [
         (["stable", str(DATA / "f1.apx")], read_stable),
         (["stable", str(DATA / "f2.apx")], read_stable),
-        (["revise-formula", "--phi", PHI, "--alpha", "a & !b & c", "--vocab", "a,b,c,d"], read_models),
+        (
+            ["revise-formula", "--phi", PHI, "--alpha", "a & !b & c", "--vocab", "a,b,c,d"],
+            read_models,
+        ),
         (["revise-formula", "--phi", "a & b", "--alpha", "!a | !b"], read_models),
         (["eaf", "classify", "--eaf", F3], read_classify),
         (["eaf", "classify", "--eaf", str(DATA / "f6.eaf")], read_classify),

@@ -323,7 +323,8 @@ def test_interpretation_validates_true_set():
 
 def test_uncached_table_path_matches_splitting_search():
     # 13 to 20 atoms: too wide for the table cache, narrow enough for a table.
-    from argent.prop import _CACHED_WIDTH, _flatten_conjuncts, _split_search, satisfiable, variables
+    from argent.prop import _CACHED_WIDTH, _flatten_conjuncts, _split_search, satisfiable
+    from argent.prop import variables
 
     rng = random.Random(2024)
     answers = set()
@@ -331,7 +332,7 @@ def test_uncached_table_path_matches_splitting_search():
         names = [f"x{i}" for i in range(width)]
         for _ in range(3):
             clauses = [
-                Or(tuple(Var(v) if rng.random() < 0.5 else Not(Var(v)) for v in rng.sample(names, 3)))
+                Or(tuple(rng.choice((Var(v), Not(Var(v)))) for v in rng.sample(names, 3)))
                 for _ in range(round(4.26 * width))
             ]
             assert len(set().union(*map(variables, clauses))) == width
