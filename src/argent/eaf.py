@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 from .af import ATT_STMT, ArgumentationFramework, line_col, strip_comments
@@ -37,7 +38,6 @@ from .prop import (
     TRUE,
     Var,
     conj,
-    format_formula,
     format_formula_set,
     is_consistent,
     minimal_conflict_subsets,
@@ -47,8 +47,7 @@ from .structured import (
     DEDUCTIVE,
     ENTHYMEME,
     StructuredArgument,
-    added_support_is_tight,
-    complete_enthymeme,
+    completion_walk,
     is_defeater,
 )
 
@@ -375,6 +374,7 @@ def acceptable_afs(
     """
     amap = eaf.argument_map
     enth = set(eaf.enthymeme_ids)
+    candidates_of = cache(lambda aid: _witness_candidates(amap[aid], base, pool, max_added))
     results = []
     for entry in outcome.entries:
         changed = sorted(
@@ -391,10 +391,7 @@ def acceptable_afs(
         involved = [
             aid for aid in eaf.ids if aid in enth and any(aid in p for p in changed)
         ]
-        candidates = {
-            aid: _witness_candidates(amap[aid], base, pool, max_added)
-            for aid in involved
-        }
+        candidates = {aid: candidates_of(aid) for aid in involved}
         witness = _search_witness(involved, candidates, changed, entry.af.attacks, amap)
         if witness is not None:
             changed_only = {
@@ -416,17 +413,13 @@ def _witness_candidates(
     pool: Sequence[Formula],
     max_added: int,
 ) -> list[StructuredArgument]:
-    out = [arg]
-    bare = StructuredArgument.enthymeme(arg.id, arg.fixed_support, arg.fixed_claim)
-    for c in complete_enthymeme(bare, base, pool, max_added):
-        if not c.added_support and c.full_claim == c.fixed_claim:
-            continue
-        if (c.added_support, c.full_claim) == (arg.added_support, arg.full_claim):
-            continue
-        if not added_support_is_tight(c):
-            continue
-        out.append(c)
-    return out
+    """`arg`, then its tight proper recompletions other than its current one."""
+    current = (arg.added_support, arg.full_claim)
+    return [arg] + [
+        StructuredArgument.enthymeme(arg.id, arg.fixed_support, arg.fixed_claim, added, claim)
+        for added, claim, tight in completion_walk(arg, base, pool, max_added)
+        if tight and (added or claim != arg.fixed_claim) and (added, claim) != current
+    ]
 
 
 def _search_witness(involved, candidates, changed, new_attacks, amap):

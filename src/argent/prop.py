@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, ResourceLimitError, VocabularyMismatchError
 
@@ -835,6 +835,48 @@ def entails(formulas: Sequence[Formula], f: Formula) -> bool:
     return not satisfiable(list(formulas) + [neg(f)])
 
 
+def subset_walk(
+    fixed: Sequence[Formula], extra: Sequence[Formula], claims: Sequence[Formula], max_size: int
+) -> Iterator[tuple[tuple[Formula, ...], list[tuple[Formula, bool]] | None]]:
+    """Walk the supports `fixed` + `chosen`, with up to `max_size` formulas
+    chosen from `extra`, by size and then by position.  Yields
+    ``(chosen, None)`` for each minimally inconsistent support and
+    ``(chosen, [(claim, minimal), ...])`` for each consistent one, with the
+    `claims` it entails in order; `minimal` says that no chosen formula can
+    be dropped.
+
+    This is the pruned subset search of Efstathiou & Hunter (IJAR 2011).  A
+    leave-one-out subset of a consistent support is consistent and was
+    visited one level earlier, so the walk reads off that level's records,
+    with no satisfiability test, that a support with an inconsistent such
+    subset is inconsistent (and passes over it) and that a claim one of them
+    entails is entailed, but not minimally.  Only the previous level's
+    records are kept; the walk ends at a level with no consistent support.
+    """
+    below_level: dict[tuple[int, ...], int] = {}  # consistent subset -> bitmask of claims
+    for r in range(min(max_size, len(extra)) + 1):
+        level: dict[tuple[int, ...], int] = {}
+        for combo in combinations(range(len(extra)), r):
+            below = 0
+            for i in range(r):
+                mask = below_level.get(combo[:i] + combo[i + 1:])
+                if mask is None:  # that subset is inconsistent, so this one is too
+                    break
+                below |= mask
+            else:
+                chosen = tuple(extra[i] for i in combo)
+                support = [*fixed, *chosen]
+                if not is_consistent(support):
+                    yield chosen, None
+                    continue
+                hits = [j for j, c in enumerate(claims) if below >> j & 1 or entails(support, c)]
+                level[combo] = sum(1 << j for j in hits)
+                yield chosen, [(claims[j], not below >> j & 1) for j in hits]
+        if not level:
+            return
+        below_level = level
+
+
 def minimal_conflict_subsets(
     candidates: Sequence[Formula],
     context: Sequence[Formula] = (),
@@ -843,10 +885,10 @@ def minimal_conflict_subsets(
     """All subset-minimal sets of `candidates` inconsistent with `context`.
 
     Candidates are deduplicated structurally; results keep candidate order and
-    are listed by size, then lexicographically by candidate position.  Since
-    any superset of a conflict is a conflict, subsets containing an already
-    found conflict are skipped.  If `context` alone is inconsistent the empty
-    set is the unique answer.
+    are listed by size, then lexicographically by candidate position: they
+    are the minimally inconsistent supports of :func:`subset_walk` over the
+    context.  If `context` alone is inconsistent the empty set is the unique
+    answer.
     """
     cand = list(dict.fromkeys(candidates))
     if len(cand) > max_candidates:
@@ -856,17 +898,7 @@ def minimal_conflict_subsets(
     ctx = list(context)
     if satisfiable(cand + ctx):
         return []
-    if not satisfiable(ctx):
-        return [()]
-    found: list[tuple[int, ...]] = []
-    for r in range(1, len(cand) + 1):
-        for combo in combinations(range(len(cand)), r):
-            combo_set = set(combo)
-            if any(set(prev) <= combo_set for prev in found):
-                continue
-            if not satisfiable([cand[i] for i in combo] + ctx):
-                found.append(combo)
-    return [tuple(cand[i] for i in combo) for combo in found]
+    return [chosen for chosen, hits in subset_walk(ctx, cand, (), len(cand)) if hits is None]
 
 
 def format_formula_set(formulas: Iterable[Formula]) -> str:

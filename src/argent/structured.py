@@ -5,13 +5,8 @@ for enthymemes completed from the receiving agent's beliefs, an added support
 and a possibly strengthened full claim.  The conflict-relevant content of an
 argument is its whole support together with its full claim.
 
-Building a base's arguments and completing an enthymeme are one search,
-:func:`_walk`, over supports made of a fixed part plus subsets of the other
-base formulas, by size and then by position.  A leave-one-out subset of a
-consistent support is consistent and was visited earlier, so the walk reads
-off its records, with no satisfiability test, that a support with an
-inconsistent such subset is inconsistent and that a claim one of them entails
-is entailed, but not minimally.
+Building a base's arguments and completing an enthymeme read the consistent
+supports of one search, :func:`argent.prop.subset_walk`.
 
 Certainty values are exact rationals so threshold comparisons never suffer
 float noise.
@@ -21,8 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .af import ArgumentationFramework
 from .errors import ParseError, ResourceLimitError
@@ -33,6 +27,7 @@ from .prop import (
     format_formula,
     is_consistent,
     parse_formula,
+    subset_walk,
 )
 
 DEDUCTIVE = "deductive"
@@ -72,7 +67,7 @@ class StructuredArgument:
                 raise ValueError(f"{self.id}: deductive arguments have no added support")
             if self.full_claim != self.fixed_claim:
                 raise ValueError(f"{self.id}: deductive arguments have a single claim")
-        if not entails([self.full_claim], self.fixed_claim):
+        if self.full_claim != self.fixed_claim and not entails([self.full_claim], self.fixed_claim):
             raise ValueError(f"{self.id}: full claim does not entail the fixed claim")
         if self.kind == ENTHYMEME and self.is_completed:
             support = list(self.support)
@@ -201,37 +196,6 @@ def _droppable(support: list[Formula], claim: Formula, positions: Iterable[int])
     return (entails(support[:i] + support[i + 1:], claim) for i in positions)
 
 
-def _walk(
-    fixed: list[Formula], extra: Sequence[Formula], claims: Sequence[Formula], max_size: int
-) -> Iterator[tuple[tuple[Formula, ...], Formula, bool]]:
-    """(chosen, claim, minimal) for each consistent support `fixed` + `chosen`,
-    with up to `max_size` formulas chosen from `extra` by size and then
-    position, and each claim it entails in order; `minimal` says that no
-    chosen formula can be dropped."""
-    entailed: dict[tuple[int, ...], int] = {}  # consistent subset -> bitmask of claims
-    for r in range(min(max_size, len(extra)) + 1):
-        for combo in combinations(range(len(extra)), r):
-            below = 0
-            for i in range(r):
-                mask = entailed.get(combo[:i] + combo[i + 1:])
-                if mask is None:  # that subset is inconsistent, so this one is too
-                    break
-                below |= mask
-            else:
-                chosen = tuple(extra[i] for i in combo)
-                support = fixed + list(chosen)
-                if not is_consistent(support):
-                    continue
-                hits = [
-                    (j, claim)
-                    for j, claim in enumerate(claims)
-                    if below >> j & 1 or entails(support, claim)
-                ]
-                entailed[combo] = sum(1 << j for j, _ in hits)
-                for j, claim in hits:
-                    yield chosen, claim, not below >> j & 1
-
-
 def is_defeater(attacker: StructuredArgument, target: StructuredArgument) -> bool:
     """True iff the attacker's full claim is inconsistent with the target's support."""
     return not is_consistent([attacker.full_claim, *target.support])
@@ -253,9 +217,10 @@ def exhaustive_graph(
         )
     pool_c = list(dict.fromkeys(pool))
     args: list[StructuredArgument] = []
-    for support, claim, minimal in _walk([], base_c, pool_c, len(base_c)):
-        if minimal:
-            args.append(StructuredArgument.deductive(f"a{len(args) + 1}", support, claim))
+    for support, hits in subset_walk([], base_c, pool_c, len(base_c)):
+        for claim, minimal in hits or ():
+            if minimal:
+                args.append(StructuredArgument.deductive(f"a{len(args) + 1}", support, claim))
     attacks = frozenset(
         (x.id, y.id) for x in args for y in args if is_defeater(x, y)
     )
@@ -304,18 +269,27 @@ def complete_enthymeme(
     and minimality checks of deductive arguments (base membership excepted,
     since the transmitted part comes from another agent).
     """
+    fixed = list(e.fixed_support)
+    out: list[StructuredArgument] = []
+    for psi, beta, tight in completion_walk(e, base, pool, max_added):
+        if strict and (not tight or any(_droppable(fixed + list(psi), beta, range(len(fixed))))):
+            continue
+        out.append(StructuredArgument.enthymeme(e.id, e.fixed_support, e.fixed_claim, psi, beta))
+    return out
+
+
+def completion_walk(e: StructuredArgument, base: BeliefBase, pool: ClaimPool, max_added: int):
+    """(added support, full claim, tight) for each completion of `e`, in the
+    order of :func:`complete_enthymeme`; `tight` says that no added formula
+    can be dropped (see :func:`added_support_is_tight`)."""
     transmitted = set(e.fixed_support)
     base_c = [f for f in dict.fromkeys(base) if f not in transmitted]
     claims = [
         beta for beta in dict.fromkeys([*pool, e.fixed_claim]) if entails([beta], e.fixed_claim)
     ]
-    fixed = list(e.fixed_support)
-    out: list[StructuredArgument] = []
-    for psi, beta, minimal in _walk(fixed, base_c, claims, max_added):
-        if strict and (not minimal or any(_droppable(fixed + list(psi), beta, range(len(fixed))))):
-            continue
-        out.append(StructuredArgument.enthymeme(e.id, e.fixed_support, e.fixed_claim, psi, beta))
-    return out
+    for added, hits in subset_walk(e.fixed_support, base_c, claims, max_added):
+        for claim, tight in hits or ():
+            yield added, claim, tight
 
 
 def added_support_is_tight(arg: StructuredArgument) -> bool:

@@ -1,8 +1,10 @@
 """Differential tests of argument construction and framework revision.
 
-`exhaustive_graph`, `complete_enthymeme` and `added_support_is_tight` are
-checked against plain subset enumeration with `is_consistent` and `entails`;
-`revise_af` against the set-based `oracle_revision_solutions`.
+`exhaustive_graph`, `complete_enthymeme`, `added_support_is_tight` and
+`minimal_conflict_subsets` are checked against plain subset enumeration with
+`is_consistent` and `entails`, the acceptability witness candidates against
+their definition through `complete_enthymeme`, and `revise_af` against the
+set-based `oracle_revision_solutions`.
 """
 
 from itertools import combinations
@@ -33,9 +35,11 @@ from argent import (
     evaluate,
     exhaustive_graph,
     is_consistent,
+    minimal_conflict_subsets,
     parse_goal,
     revise_af,
 )
+from argent.eaf import _witness_candidates
 from argent.prop import neg
 from conftest import oracle_acceptance, oracle_revision_solutions
 
@@ -45,7 +49,6 @@ from conftest import oracle_acceptance, oracle_revision_solutions
 
 ATOMS = ("p", "q", "r", "s", "t")
 P, Q, R, S = (Var(name) for name in ATOMS[:4])
-
 
 
 def literals(atoms=ATOMS):
@@ -184,6 +187,78 @@ def test_complete_enthymeme_matches_subset_enumeration(fixed, claim, base_pool, 
         assert (c.id, c.kind, c.fixed_support) == ("e", "enthymeme", e.fixed_support)
         assert c.fixed_claim == claim
         assert added_support_is_tight(c) == oracle_tight(c)
+
+
+def oracle_witness_candidates(arg, base, pool, max_added):
+    """The current argument, then every proper, tight recompletion of its
+    transmitted pair other than the current one."""
+    bare = StructuredArgument.enthymeme(arg.id, arg.fixed_support, arg.fixed_claim)
+    return [arg] + [
+        c
+        for c in complete_enthymeme(bare, base, pool, max_added)
+        if (c.added_support or c.full_claim != c.fixed_claim)
+        and (c.added_support, c.full_claim) != (arg.added_support, arg.full_claim)
+        and added_support_is_tight(c)
+    ]
+
+
+@settings(max_examples=50)
+@given(
+    st.lists(formulas(), max_size=2),
+    st.one_of(st.just(TRUE), literals(), formulas()),
+    bases_and_pools(),
+    st.integers(0, 3),
+    st.integers(0, 20),
+)
+@example([P], R, ([Implies(P, Q), Implies(Q, R), P, Implies(P, R)], [R, Q]), 3, 1)
+@example([P], TRUE, ([P, Implies(P, Q), Q], [Q]), 2, 2)
+def test_witness_candidates_match_definition(fixed, claim, base_pool, max_added, pick):
+    base, pool = base_pool
+    bare = StructuredArgument.enthymeme("e", fixed, claim)
+    # The current completion is the bare pair or one of its completions.
+    current = [bare, *complete_enthymeme(bare, base, pool, max_added)]
+    arg = current[pick % len(current)]
+    expected = oracle_witness_candidates(arg, base, pool, max_added)
+    assert _witness_candidates(arg, base, pool, max_added) == expected
+
+
+# ---------------------------------------------------------------------------
+# Minimal conflicts
+# ---------------------------------------------------------------------------
+
+def oracle_conflicts(candidates, context):
+    """Every subset of the distinct candidates that is inconsistent with the
+    context and has no inconsistent proper subset, by size then position."""
+    cand = list(dict.fromkeys(candidates))
+    found = []
+    for r in range(len(cand) + 1):
+        for combo in combinations(cand, r):
+            if is_consistent([*combo, *context]):
+                continue
+            if not any(set(prev) < set(combo) for prev in found):
+                found.append(combo)
+    return found
+
+
+@st.composite
+def conflict_cases(draw):
+    """Up to 7 candidates, repeats allowed, and a context of up to 3 formulas,
+    over 1 to 5 atoms."""
+    atoms = ATOMS[: draw(st.integers(1, 5))]
+    distinct = draw(st.lists(formulas(atoms), min_size=1, max_size=7))
+    candidates = draw(st.lists(st.sampled_from(distinct), max_size=7))
+    return candidates, draw(st.lists(formulas(atoms), max_size=3))
+
+
+@settings(max_examples=50)
+@given(conflict_cases())
+@example(([P, Q, P], [Not(P), Implies(Q, P)]))
+@example(([P, Implies(P, Q), Not(Q), Q], [R, Not(R)]))
+@example(([P, Implies(P, Q), Not(Q), Or((Not(P), Not(Q))), Q, Not(P), P], [Implies(Q, R)]))
+@example(([], [Not(TRUE)]))
+def test_minimal_conflict_subsets_match_subset_enumeration(case):
+    candidates, context = case
+    assert minimal_conflict_subsets(candidates, context) == oracle_conflicts(candidates, context)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+import argent.eaf as eaf_module
 from argent import (
     ATT_ONLY,
     AttAccVocabulary,
@@ -374,3 +375,22 @@ def test_acceptability_reason_without_proper_recompletion():
         "attack (e,d): cannot be justified; no proper recompletion of e is "
         "available from the belief base"
     )
+
+
+def test_acceptability_builds_each_enthymemes_candidates_once(f3, monkeypatch):
+    # Several revision entries change attacks of the same enthymemes; their
+    # recompletion candidates do not depend on the entry.
+    out = revise_eaf(f3, "acc(e1)", "deductive", ATT_ONLY)
+    base = parse_formula_lines((DATA / "beliefs_completion.txt").read_text())
+    pool = parse_formula_lines((DATA / "claims_completion.txt").read_text())
+    expected = acceptable_afs(f3, out, base, pool)
+    built = []
+    original = eaf_module._witness_candidates
+
+    def counting(arg, *rest):
+        built.append(arg.id)
+        return original(arg, *rest)
+
+    monkeypatch.setattr(eaf_module, "_witness_candidates", counting)
+    assert acceptable_afs(f3, out, base, pool) == expected
+    assert sorted(built) == ["e1", "e2"]
