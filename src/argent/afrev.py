@@ -23,9 +23,9 @@ from typing import Iterable
 
 from . import kernels
 from .af import ArgumentationFramework, format_af, format_extension, format_pair_set
-from .encoding import AttAccVocabulary, CandidateBits, attacker_masks_from, pin_att_units
+from .encoding import AttAccVocabulary, attacker_masks_from, pin_att_units, scan_candidates
 from .errors import ParseError, ResourceLimitError, UnknownArgumentError
-from .prop import And, Formula, FormulaParser, TRUE, Var, satisfiable, scan, truth_table, variables
+from .prop import And, Formula, FormulaParser, TRUE, Var, satisfiable, scan, variables
 
 DALAL = "dalal"
 ATT_WEIGHTED = "att-weighted"
@@ -124,7 +124,8 @@ def revise_af(
     """Theory models satisfying goal and constraint at minimal distance from `af`.
 
     The search fixes att variables pinned by unit literals of goal/constraint,
-    then scans flip subsets of the free att variables by increasing size k.
+    then scans flip subsets of the free att variables by increasing size k,
+    a chunk of candidates at a time (see :func:`encoding.scan_candidates`).
     Each candidate's acc assignment is forced by the attacks, so a level-k scan
     is complete for every model with k free flips; the scan stops once no
     deeper level can reach the best total weight.  When `require_extension` is
@@ -160,32 +161,43 @@ def revise_af(
     if foreign:
         raise UnknownArgumentError(f"variable {min(foreign)!r} is not an att/acc variable")
 
-    hits: list[tuple[int, tuple[int, ...], int, int, bool]] = []
+    hits: list[tuple[int, tuple[int, ...], int, bool]] = []
     best: int | None = None
     for k in range(len(free) + 1):
-        if best is not None and w_att * (baseline + k) > best:
+        att_weight = w_att * (baseline + k)
+        if best is not None and att_weight > best:
             break
-        for combo in combinations(free, k):
+        for chunk, acc_cols, vacuous, sat in scan_candidates(
+            enc, start, combinations(free, k), combined
+        ):
+            if require_extension:
+                sat &= ~vacuous
+            while sat:
+                low = sat & -sat
+                sat ^= low
+                c = low.bit_length() - 1
+                acc_mask = 0
+                for i, col in enumerate(acc_cols):
+                    if col & low:
+                        acc_mask |= 1 << i
+                total = att_weight + w_acc * bin(acc_mask ^ acc0_mask).count("1")
+                if best is None or total < best:
+                    best = total
+                if total == best:
+                    hits.append((total, chunk[c], acc_mask, bool(vacuous & low)))
+    if best is None:
+        return RevisionOutcome(())
+    kept = []
+    for total, combo, acc_mask, vacuous in hits:
+        if total == best:
             att = start
             for p in combo:
                 att ^= 1 << p
-            acc_mask, vacuous = kernels.acceptance_mask(attacker_masks_from(att, n), n)
-            if require_extension and vacuous:
-                continue
-            if not truth_table(combined, CandidateBits(enc, att, acc_mask), 1):
-                continue
-            acc_flips = bin(acc_mask ^ acc0_mask).count("1")
-            total = w_att * (baseline + k) + w_acc * acc_flips
-            if best is None or total < best:
-                best = total
             flip_positions = tuple(p for p in range(n * n) if (att ^ base_att) >> p & 1)
-            hits.append((total, flip_positions, att, acc_mask, vacuous))
-    if best is None:
-        return RevisionOutcome(())
+            kept.append((flip_positions, att, acc_mask, vacuous))
+    kept.sort(key=lambda h: h[0])
     entries = []
-    for total, flips, att, acc_mask, vacuous in sorted(
-        (h for h in hits if h[0] == best), key=lambda h: h[1]
-    ):
+    for _, att, acc_mask, vacuous in kept:
         attacks = frozenset(enc.pairs[p] for p in range(n * n) if (att >> p) & 1)
         new_af = ArgumentationFramework(af.arguments, attacks)
         accepted = frozenset(a for i, a in enumerate(af.arguments) if (acc_mask >> i) & 1)
@@ -199,7 +211,7 @@ def revise_af(
                 acc_changed=frozenset(
                     a for i, a in enumerate(af.arguments) if ((acc_mask ^ acc0_mask) >> i) & 1
                 ),
-                total_weight=total,
+                total_weight=best,
             )
         )
     return RevisionOutcome(tuple(entries))

@@ -17,7 +17,8 @@ for tiny instances, since the quantifier expansion is exponential.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+from itertools import compress, islice, product
+from typing import Iterable, Iterator, Sequence
 
 from . import kernels
 from .af import ArgumentationFramework, skeptical_accepted
@@ -41,6 +42,7 @@ from .prop import (
 
 EMIT_ARGUMENT_LIMIT = 4
 FREE_ATT_LIMIT = 25
+_CHUNK = 256  # candidates per kernel call, which bounds the columns' size
 
 
 class AttAccVocabulary:
@@ -173,29 +175,38 @@ def pin_att_units(formula: Formula, enc: AttAccVocabulary):
     free = [p for p in range(enc.n * enc.n) if not (pinned >> p) & 1]
     if len(free) > FREE_ATT_LIMIT:
         raise ResourceLimitError(
-            f"{len(free)} free att variables exceed the limit of {FREE_ATT_LIMIT}"
+            f"2^{len(free)} candidate frameworks over {len(free)} free att variables "
+            f"exceed the limit of 2^{FREE_ATT_LIMIT}"
         )
     return pinned, value, free
 
 
-class CandidateBits:
-    """Read-only view of one candidate (att bitmask, acc bitmask) as 1-bit
-    truth tables by variable name: `truth_table(f, bits, 1)` is the value of
-    `f` for the candidate.  Names must be att/acc variables of `enc`."""
+def scan_candidates(
+    enc: AttAccVocabulary, start: int, flip_sets: Iterable[Sequence[int]], formula: Formula
+) -> Iterator[tuple[list[Sequence[int]], list[int], int, int]]:
+    """Test `formula` on candidate frameworks, a chunk at a time.
 
-    __slots__ = ("_att_index", "_acc_index", "_att", "_acc")
-
-    def __init__(self, enc: AttAccVocabulary, att: int, acc: int):
-        self._att_index = enc._att_index
-        self._acc_index = enc._acc_index
-        self._att = att
-        self._acc = acc
-
-    def __getitem__(self, name: str) -> int:
-        p = self._att_index.get(name)
-        if p is None:
-            return self._acc >> self._acc_index[name] & 1
-        return self._att >> p & 1
+    Candidate c of a chunk is the att bitmask `start` with the positions of
+    its flip set toggled.  Per chunk of at most _CHUNK flip sets this yields
+    the flip sets, the acceptance columns and vacuous column of
+    :func:`kernels.acceptance_columns`, and the column of candidates whose
+    att/acc assignment satisfies `formula`: bit c of a column belongs to
+    candidate c.
+    """
+    n = enc.n
+    flip_sets = iter(flip_sets)
+    while chunk := list(islice(flip_sets, _CHUNK)):
+        full = (1 << len(chunk)) - 1
+        att_cols = [full if start >> p & 1 else 0 for p in range(n * n)]
+        bit = 1
+        for flips in chunk:
+            for p in flips:
+                att_cols[p] ^= bit
+            bit <<= 1
+        acc_cols, vacuous = kernels.acceptance_columns(att_cols, n, full)
+        cols = dict(zip(enc.att_names, att_cols))
+        cols.update(zip(enc.acc_names, acc_cols))
+        yield chunk, acc_cols, vacuous, truth_table(formula, cols, full)
 
 
 def theory_models(arguments: Sequence[str], constraint: Formula) -> Iterator[Interpretation]:
@@ -216,16 +227,17 @@ def theory_models(arguments: Sequence[str], constraint: Formula) -> Iterator[Int
         return
     _, base, free = pins
     n = enc.n
-    width = len(free)
-    for m in range(1 << width):
-        att_mask = base
-        for j in range(width):
-            if (m >> (width - 1 - j)) & 1:
-                att_mask |= 1 << free[j]
-        acc_mask, _ = kernels.acceptance_mask(attacker_masks_from(att_mask, n), n)
-        if truth_table(constraint, CandidateBits(enc, att_mask, acc_mask), 1):
+    flip_sets = (tuple(compress(free, bits)) for bits in product((0, 1), repeat=len(free)))
+    for chunk, acc_cols, _, sat in scan_candidates(enc, base, flip_sets, constraint):
+        while sat:
+            low = sat & -sat
+            sat ^= low
+            c = low.bit_length() - 1
+            att_mask = base
+            for p in chunk[c]:
+                att_mask |= 1 << p
             true_set = [enc.att_names[p] for p in range(n * n) if (att_mask >> p) & 1]
-            true_set += [enc.acc_names[i] for i in range(n) if (acc_mask >> i) & 1]
+            true_set += [a for a, col in zip(enc.acc_names, acc_cols) if col & low]
             yield Interpretation(enc.vocabulary, frozenset(true_set))
 
 

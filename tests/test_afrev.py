@@ -7,6 +7,7 @@ import pytest
 from argent import (
     ATT_ONLY,
     ATT_WEIGHTED,
+    And,
     ArgumentationFramework,
     AttAccVocabulary,
     DALAL,
@@ -25,6 +26,7 @@ from argent import (
     satisfies_theory,
     theory_models,
 )
+from argent import encoding
 from conftest import oracle_revision_solutions
 
 
@@ -67,7 +69,7 @@ def test_free_att_guard_matches_theory_models():
         revise_af(af, parse_goal("acc(a0)", AttAccVocabulary(args)))
     with pytest.raises(ResourceLimitError) as from_theory:
         next(theory_models(args, TRUE))
-    message = "36 free att variables exceed the limit of 25"
+    message = "2^36 candidate frameworks over 36 free att variables exceed the limit of 2^25"
     assert str(from_revision.value) == str(from_theory.value) == message
 
 
@@ -209,3 +211,50 @@ def test_random_instances_match_oracle():
             }
         else:
             assert not solutions
+
+
+def _random_goal(rng, args, depth):
+    if depth == 0 or rng.random() < 0.3:
+        if rng.random() < 0.6:
+            return f"acc({rng.choice(args)})"
+        return f"att({rng.choice(args)},{rng.choice(args)})"
+    if rng.random() < 0.2:
+        return f"!{_random_goal(rng, args, depth - 1)}"
+    op = rng.choice(["&", "|", "->", "<->"])
+    return f"({_random_goal(rng, args, depth - 1)} {op} {_random_goal(rng, args, depth - 1)})"
+
+
+def test_chunk_size_does_not_change_outcomes(monkeypatch):
+    """The candidate scan tests a chunk of candidates per kernel call; cutting
+    the levels into chunks of 1 or 3 gives the same outcomes in the same order."""
+    rng = random.Random(4242)
+    cases = []
+    for _ in range(16):
+        args = ("a", "b", "c", "d")[: rng.choice((3, 4))]
+        enc = AttAccVocabulary(args)
+        attacks = frozenset(p for p in enc.pairs if rng.random() < 0.3)
+        free = set(rng.sample(range(len(enc.pairs)), rng.randrange(2, 7)))
+        pins = [
+            f"{'' if rng.random() < 0.3 else '!'}att({x},{y})"
+            for p, (x, y) in enumerate(enc.pairs)
+            if p not in free
+        ]
+        constraint = parse_goal(" & ".join(pins), enc)
+        goal = parse_goal(_random_goal(rng, args, 3), enc)
+        cases.append((ArgumentationFramework(args, attacks), goal, constraint))
+
+    def run_all():
+        found = []
+        for af, goal, constraint in cases:
+            for mode in (DALAL, ATT_WEIGHTED, ATT_ONLY):
+                for require_extension in (True, False):
+                    found.append(revise_af(af, goal, constraint, mode, require_extension))
+            found.append(list(theory_models(af.arguments, constraint)))
+            found.append(list(theory_models(af.arguments, And((goal, constraint)))))
+        return found
+
+    default = run_all()
+    assert any(len(outcome) > 1 for outcome in default)
+    for size in (1, 3):
+        monkeypatch.setattr(encoding, "_CHUNK", size)
+        assert run_all() == default
