@@ -23,7 +23,13 @@ from typing import Iterable
 
 from . import kernels
 from .af import ArgumentationFramework, format_af, format_extension, format_pair_set
-from .encoding import AttAccVocabulary, attacker_masks_from, pin_att_units, scan_candidates
+from .encoding import (
+    AttAccVocabulary,
+    _vocabulary_of,
+    attacker_masks_from,
+    pin_att_units,
+    scan_candidates,
+)
 from .errors import ParseError, ResourceLimitError, UnknownArgumentError
 from .prop import And, Formula, FormulaParser, TRUE, Var, satisfiable, scan, variables
 
@@ -139,7 +145,7 @@ def revise_af(
         raise ResourceLimitError(
             f"{n} arguments exceed the enumeration limit of {kernels.MAX_ARGUMENTS}"
         )
-    enc = AttAccVocabulary(af.arguments)
+    enc = _vocabulary_of(af.arguments)
     constraint = TRUE if constraint is None else constraint
     combined = And((goal, constraint)) if constraint != TRUE else goal
     w_att, w_acc = mode_weights(mode, n)

@@ -24,7 +24,7 @@ from .af import (
     stable_extensions,
 )
 from .afrev import MODES, RevisionOutcome, format_outcome, outcome_to_dict, parse_goal, revise_af
-from .encoding import AttAccVocabulary
+from .encoding import _vocabulary_of
 from .errors import ArgentError, ResourceLimitError
 from .prop import (
     Vocabulary,
@@ -115,7 +115,7 @@ def _print_outcome(outcome: RevisionOutcome, emit_structured: bool) -> int:
 
 def cmd_revise_af(ns) -> int:
     af = parse_af(Path(ns.af).read_text())
-    enc = AttAccVocabulary(af.arguments)
+    enc = _vocabulary_of(af.arguments)
     goal = parse_goal(ns.goal, enc)
     constraint = parse_goal(ns.constraint, enc) if ns.constraint else None
     outcome = revise_af(

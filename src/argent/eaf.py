@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .af import ATT_STMT, ArgumentationFramework, line_col, strip_comments
 from .afrev import ATT_ONLY, RevisionEntry, RevisionOutcome, parse_goal, revise_af
-from .encoding import AttAccVocabulary
+from .encoding import _vocabulary_of
 from .errors import ParseError, UnknownArgumentError
 from .prop import (
     IDENT,
@@ -281,7 +281,7 @@ def classify_attacks(eaf: EnthymemeAF) -> AttackClassification:
 
 def constraint_deductive(eaf: EnthymemeAF) -> Formula:
     """Freeze every attack and non-attack between deductive arguments."""
-    enc = AttAccVocabulary(eaf.ids)
+    enc = _vocabulary_of(eaf.ids)
     deductive = eaf.deductive_ids
     parts: list[Formula] = []
     negatives: list[Formula] = []
@@ -301,7 +301,7 @@ def constraint_certain(
     """Freeze every certain attack; forbid non-core attacks between deductive
     arguments.  Negative literals cover only deductive pairs."""
     cls = classification or classify_attacks(eaf)
-    enc = AttAccVocabulary(eaf.ids)
+    enc = _vocabulary_of(eaf.ids)
     deductive = eaf.deductive_ids
     positives = [
         Var(enc.att_var(x, y))
@@ -325,7 +325,7 @@ def revise_eaf(
 ) -> RevisionOutcome:
     """Revise the projected plain framework under the chosen integrity constraint."""
     af = eaf.to_af()
-    enc = AttAccVocabulary(af.arguments)
+    enc = _vocabulary_of(af.arguments)
     goal_f = parse_goal(goal, enc) if isinstance(goal, str) else goal
     if constraint_mode == "deductive":
         constraint = constraint_deductive(eaf)

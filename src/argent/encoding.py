@@ -17,6 +17,7 @@ for tiny instances, since the quantifier expansion is exponential.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import compress, islice, product
 from typing import Iterable, Iterator, Sequence
 
@@ -115,6 +116,14 @@ class AttAccVocabulary:
         true_set = {self.att_var(x, y) for x, y in attacks}
         true_set |= {self.acc_var(x) for x in accepted}
         return Interpretation(self.vocabulary, frozenset(true_set))
+
+
+@lru_cache(maxsize=32)
+def _vocabulary_of(arguments: tuple[str, ...]) -> AttAccVocabulary:
+    """One AttAccVocabulary per argument tuple, shared by the steps of a query
+    (instances are never mutated), so that its n*n + n names are built and
+    checked once."""
+    return AttAccVocabulary(arguments)
 
 
 def canonical_model(af: ArgumentationFramework) -> Interpretation:

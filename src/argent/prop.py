@@ -16,7 +16,8 @@ value under assignment m (``order[0]`` is the most significant bit of m), so
 ``&``, ``|`` and ``^`` combine whole tables at once.  :func:`satisfiable`
 ANDs the tables of its conjuncts, kept in a small cache keyed by (formula,
 atom order); :func:`entails` goes through it; :func:`models` decodes the set
-bits of one table in canonical order.  Above ``ENUMERATION_LIMIT`` atoms
+bits of one table in canonical order; :func:`subset_walk` compiles its
+formulas once and ANDs their tables.  Above ``ENUMERATION_LIMIT`` atoms
 :func:`satisfiable` falls back to unit propagation and splitting, and
 :func:`models` refuses.
 """
@@ -41,7 +42,8 @@ ENUMERATION_LIMIT = 20
 
 # Conjunct tables kept by `satisfiable`, and the widest order for which they
 # and the atom columns are kept (2^12 bits, 512 bytes a table): wider tables
-# seldom recur and would make the caches hold megabytes.
+# seldom recur and would make the caches hold megabytes.  It is also the
+# widest walk that `subset_walk` runs on tables.
 _TABLE_CACHE_SIZE = 256
 _CACHED_WIDTH = 12
 
@@ -852,29 +854,64 @@ def subset_walk(
     subset is inconsistent (and passes over it) and that a claim one of them
     entails is entailed, but not minimally.  Only the previous level's
     records are kept; the walk ends at a level with no consistent support.
+
+    When `fixed`, `extra` and `claims` together have at most _CACHED_WIDTH
+    atoms, each formula is compiled once into a truth table over their sorted
+    union, and each record keeps its support's table: a support's table is
+    that of its leave-one-out subset without the last chosen formula, ANDed
+    with the table of that formula.  The support is consistent iff its table
+    is not 0, and entails a claim iff it has no bit outside the claim's
+    table, so the walk makes no :func:`satisfiable` call.  Wider inputs are
+    tested with :func:`is_consistent` and :func:`entails`.
     """
-    below_level: dict[tuple[int, ...], int] = {}  # consistent subset -> bitmask of claims
+    start, extend, consistent, proves = _support_tests(fixed, extra, claims)
+    # consistent subset -> (bitmask of the claims it entails, its support's state)
+    below_level: dict[tuple[int, ...], tuple[int, object]] = {}
     for r in range(min(max_size, len(extra)) + 1):
-        level: dict[tuple[int, ...], int] = {}
+        level: dict[tuple[int, ...], tuple[int, object]] = {}
         for combo in combinations(range(len(extra)), r):
             below = 0
             for i in range(r):
-                mask = below_level.get(combo[:i] + combo[i + 1:])
-                if mask is None:  # that subset is inconsistent, so this one is too
+                record = below_level.get(combo[:i] + combo[i + 1:])
+                if record is None:  # that subset is inconsistent, so this one is too
                     break
-                below |= mask
+                below |= record[0]
             else:
                 chosen = tuple(extra[i] for i in combo)
-                support = [*fixed, *chosen]
-                if not is_consistent(support):
+                # the last record read is that of combo[:-1]
+                state = extend(record[1], combo[-1]) if r else start
+                if not consistent(state):
                     yield chosen, None
                     continue
-                hits = [j for j, c in enumerate(claims) if below >> j & 1 or entails(support, c)]
-                level[combo] = sum(1 << j for j in hits)
+                hits = [j for j in range(len(claims)) if below >> j & 1 or proves(state, j)]
+                level[combo] = (sum(1 << j for j in hits), state)
                 yield chosen, [(claims[j], not below >> j & 1) for j in hits]
         if not level:
             return
         below_level = level
+
+
+def _support_tests(fixed, extra, claims):
+    """How :func:`subset_walk` tests its supports: the state of the support
+    `fixed`, the state after adding ``extra[i]`` to a support, whether a
+    state is consistent, and whether it entails ``claims[j]``.  A state is
+    the support's truth table when all the formulas fit in _CACHED_WIDTH
+    atoms, and the support itself otherwise."""
+    names = frozenset().union(*map(variables, [*fixed, *extra, *claims]))
+    if len(names) > _CACHED_WIDTH:
+        return (
+            list(fixed),
+            lambda support, i: support + [extra[i]],
+            is_consistent,
+            lambda support, j: entails(support, claims[j]),
+        )
+    cols, full = atom_tables(tuple(sorted(names)))
+    start = full
+    for f in fixed:
+        start &= truth_table(f, cols, full)
+    tables = [truth_table(f, cols, full) for f in extra]
+    countermodels = [full ^ truth_table(c, cols, full) for c in claims]
+    return start, lambda t, i: t & tables[i], bool, lambda t, j: not t & countermodels[j]
 
 
 def minimal_conflict_subsets(

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 from typing import Iterable, Sequence
 
 from .af import ArgumentationFramework
@@ -34,6 +35,9 @@ DEDUCTIVE = "deductive"
 ENTHYMEME = "enthymeme"
 
 EXHAUSTIVE_BASE_LIMIT = 12
+# Most supports one completion walk may test: the largest walk that
+# `exhaustive_graph` admits.
+_COMPLETION_SUPPORT_LIMIT = 2**EXHAUSTIVE_BASE_LIMIT
 
 
 @dataclass(frozen=True)
@@ -267,7 +271,8 @@ def complete_enthymeme(
     set size, then position, with pool claims tried before the fixed claim.
     With `strict` set, completions must also pass the consistency, entailment
     and minimality checks of deductive arguments (base membership excepted,
-    since the transmitted part comes from another agent).
+    since the transmitted part comes from another agent).  Raises
+    ResourceLimitError as :func:`completion_walk` does.
     """
     fixed = list(e.fixed_support)
     out: list[StructuredArgument] = []
@@ -281,9 +286,17 @@ def complete_enthymeme(
 def completion_walk(e: StructuredArgument, base: BeliefBase, pool: ClaimPool, max_added: int):
     """(added support, full claim, tight) for each completion of `e`, in the
     order of :func:`complete_enthymeme`; `tight` says that no added formula
-    can be dropped (see :func:`added_support_is_tight`)."""
+    can be dropped (see :func:`added_support_is_tight`).
+
+    Raises ResourceLimitError, before any support is tested, when the walk
+    could test more than _COMPLETION_SUPPORT_LIMIT supports."""
     transmitted = set(e.fixed_support)
     base_c = [f for f in dict.fromkeys(base) if f not in transmitted]
+    supports = sum(comb(len(base_c), k) for k in range(min(max_added, len(base_c)) + 1))
+    if supports > _COMPLETION_SUPPORT_LIMIT:
+        raise ResourceLimitError(
+            f"{supports} supports for {e.id} exceed the limit of {_COMPLETION_SUPPORT_LIMIT}"
+        )
     claims = [
         beta for beta in dict.fromkeys([*pool, e.fixed_claim]) if entails([beta], e.fixed_claim)
     ]

@@ -243,6 +243,18 @@ def test_resource_guard_exit_code(tmp_path, capsys):
     assert main(["revise-formula", "--phi", "v0", "--alpha", wide]) == 4
 
 
+def test_completion_guard_exit_code(tmp_path, capsys):
+    beliefs = tmp_path / "beliefs.txt"
+    beliefs.write_text("".join(f"q{i}\n" for i in range(26)))
+    claims = tmp_path / "claims.txt"
+    claims.write_text("gamma\n")
+    argv = ["eaf", "acceptable", "--eaf", str(DATA / "f3.eaf"), "--goal", "acc(e1)",
+            "--beliefs", str(beliefs), "--claims", str(claims), "--max-added"]
+    assert main(argv + ["4"]) == 4
+    assert capsys.readouterr() == ("", "error: 17902 supports for e1 exceed the limit of 4096\n")
+    assert main(argv + ["3"]) == 0  # 2,952 supports
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["stable", "/nonexistent/x.apx"]) == 2
 

@@ -1,10 +1,11 @@
 """Differential tests of argument construction and framework revision.
 
-`exhaustive_graph`, `complete_enthymeme`, `added_support_is_tight` and
-`minimal_conflict_subsets` are checked against plain subset enumeration with
-`is_consistent` and `entails`, the acceptability witness candidates against
-their definition through `complete_enthymeme`, and `revise_af` against the
-set-based `oracle_revision_solutions`.
+`subset_walk`, `exhaustive_graph`, `complete_enthymeme`,
+`added_support_is_tight` and `minimal_conflict_subsets` are checked against
+plain subset enumeration with `is_consistent` and `entails`, the
+acceptability witness candidates against their definition through
+`complete_enthymeme`, and `revise_af` against the set-based
+`oracle_revision_solutions`.
 """
 
 from itertools import combinations
@@ -20,6 +21,7 @@ from argent import (
     ArgumentationFramework,
     AttAccVocabulary,
     DALAL,
+    FALSE,
     Iff,
     Implies,
     Not,
@@ -40,7 +42,7 @@ from argent import (
     revise_af,
 )
 from argent.eaf import _witness_candidates
-from argent.prop import neg
+from argent.prop import _CACHED_WIDTH, neg, subset_walk
 from conftest import oracle_acceptance, oracle_revision_solutions
 
 # ---------------------------------------------------------------------------
@@ -84,6 +86,69 @@ def bases_and_pools(draw):
     base = draw(st.lists(formulas(atoms), min_size=3, max_size=7))
     claim = st.one_of(st.sampled_from(base), st.sampled_from(base).map(neg), literals(atoms))
     return base, draw(st.lists(claim, min_size=1, max_size=3))
+
+
+def tautology(width):
+    """A formula true everywhere that mentions the atoms v0 .. v<width - 1>."""
+    return Or(tuple(x for i in range(width) for x in (Var(f"v{i}"), Not(Var(f"v{i}")))))
+
+
+V0, V1, V2 = (Var(f"v{i}") for i in range(3))
+
+
+@st.composite
+def walk_cases(draw):
+    """`subset_walk` inputs over 2 to 4 atoms whose formulas repeat one
+    another and the constants."""
+    atoms = tuple(f"v{i}" for i in range(draw(st.integers(2, 4))))
+    distinct = draw(st.lists(formulas(atoms), min_size=1, max_size=4)) + [TRUE, FALSE]
+    item = st.sampled_from(distinct)
+    fixed = draw(st.lists(item, max_size=2))
+    extra = draw(st.lists(item, max_size=4))
+    claims = draw(st.lists(st.one_of(item, item.map(neg)), max_size=3))
+    return fixed, extra, claims, draw(st.integers(0, 4))
+
+
+def oracle_walk(fixed, extra, claims, max_size):
+    """What `subset_walk` yields, by its definition: every support, by size
+    then position, whose leave-one-out subsets are all consistent; None for an
+    inconsistent one, and for a consistent one each claim it entails, minimal
+    when no leave-one-out subset entails it."""
+    def support(combo):
+        return [*fixed, *(extra[i] for i in combo)]
+
+    found = []
+    for r in range(min(max_size, len(extra)) + 1):
+        for combo in combinations(range(len(extra)), r):
+            subsets = [support(combo[:i] + combo[i + 1:]) for i in range(r)]
+            if not all(is_consistent(s) for s in subsets):
+                continue
+            chosen = tuple(extra[i] for i in combo)
+            whole = support(combo)
+            if not is_consistent(whole):
+                found.append((chosen, None))
+                continue
+            found.append((chosen, [
+                (c, not any(entails(s, c) for s in subsets)) for c in claims if entails(whole, c)
+            ]))
+    return found
+
+
+@settings(max_examples=25)
+@given(walk_cases())
+@example(([V0, Not(V0)], [V1, Not(V1)], [V1], 2))
+@example(([FALSE], [V0], [V0], 1))
+@example(([], [], [], 3))
+@example(([], [TRUE, FALSE, V0, Not(V0)], [TRUE, FALSE, V0], 4))
+@example(([V0], [Implies(V0, V1), V1, Implies(V1, V2)], [V0, V1, V2], 3))
+@example(([], [V0, V0, Implies(V0, V1), Not(V1)], [V1, V1], 4))
+def test_subset_walk_matches_subset_enumeration(case):
+    """On both sides of the truth-table width: a tautology over
+    _CACHED_WIDTH or one more atoms joins the fixed formulas."""
+    fixed, extra, claims, max_size = case
+    for width in (_CACHED_WIDTH, _CACHED_WIDTH + 1):
+        walk = ([*fixed, tautology(width)], extra, claims, max_size)
+        assert list(subset_walk(*walk)) == oracle_walk(*walk)
 
 
 def oracle_arguments(base, pool):

@@ -3,6 +3,7 @@
 import pytest
 
 import argent.eaf as eaf_module
+import argent.encoding as encoding
 from argent import (
     ATT_ONLY,
     AttAccVocabulary,
@@ -394,3 +395,19 @@ def test_acceptability_builds_each_enthymemes_candidates_once(f3, monkeypatch):
     monkeypatch.setattr(eaf_module, "_witness_candidates", counting)
     assert acceptable_afs(f3, out, base, pool) == expected
     assert sorted(built) == ["e1", "e2"]
+
+
+def test_revision_builds_one_vocabulary_per_framework(f3, monkeypatch):
+    # revise_eaf, its constraint and revise_af share one vocabulary.
+    encoding._vocabulary_of.cache_clear()
+    built = []
+    original = AttAccVocabulary.__init__
+
+    def counting(self, arguments):
+        built.append(tuple(arguments))
+        original(self, arguments)
+
+    monkeypatch.setattr(AttAccVocabulary, "__init__", counting)
+    for constraint_mode in ("deductive", "certain", "none"):
+        revise_eaf(f3, "acc(e1)", constraint_mode, ATT_ONLY)
+    assert built == [f3.ids]

@@ -1,11 +1,13 @@
 """Deductive validation, defeaters, exhaustive graphs, enthymeme handling."""
 
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+import argent.prop as prop
 from argent import (
     And,
     CertaintyMap,
@@ -22,10 +24,14 @@ from argent import (
     is_defeater,
     is_enthymeme_for,
     make_enthymeme,
+    minimal_conflict_subsets,
     parse_formula,
+    parse_formula_lines,
     validate_deductive,
 )
 from argent.prop import conj, neg
+from argent.structured import completion_walk
+from conftest import DATA
 
 p = parse_formula
 
@@ -147,6 +153,61 @@ def test_exhaustive_graph_guard():
     base = [Var(f"v{i}a") for i in range(13)]
     with pytest.raises(ResourceLimitError):
         exhaustive_graph(base, [p("a")])
+
+
+def walk_satisfiable_calls(monkeypatch, run):
+    """The `prop.satisfiable` calls made inside `prop.subset_walk` by `run()`."""
+    walk = prop.subset_walk.__code__
+    original = prop.satisfiable
+    inside = []
+
+    def counting(formulas):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code is not walk:
+            frame = frame.f_back
+        if frame is not None:
+            inside.append(formulas)
+        return original(formulas)
+
+    monkeypatch.setattr(prop, "satisfiable", counting)
+    run()
+    monkeypatch.undo()
+    return inside
+
+
+def test_subset_walk_proves_supports_on_tables(f3, monkeypatch):
+    # Up to 12 atoms the walk tests each support on truth tables it compiled
+    # once, with no satisfiable call; wider, it calls satisfiable.
+    base = parse_formula_lines((DATA / "beliefs_completion.txt").read_text())
+    pool = parse_formula_lines((DATA / "claims_completion.txt").read_text())
+    e1 = next(a for a in f3.arguments if a.id == "e1")
+    found = []
+
+    def narrow():
+        exhaustive_graph(base, pool)
+        found.append(list(completion_walk(e1, base, pool, 3)))
+        found.append(minimal_conflict_subsets([p("a"), p("a -> b"), p("!b"), p("b")]))
+
+    assert walk_satisfiable_calls(monkeypatch, narrow) == []
+    assert all(found)
+    wide = [p(" | ".join(f"v{i}" for i in range(13))), p("!v0")]
+    assert walk_satisfiable_calls(monkeypatch, lambda: exhaustive_graph(wide, [p("!v0")]))
+
+
+def test_completion_walk_guard_fires_before_any_support(monkeypatch):
+    # 13 formulas, up to 12 added: 2^13 - 1 supports; 12 formulas: 4096, the limit.
+    e = StructuredArgument.enthymeme("e", (p("a"),), p("a"))
+    base = [p(f"!a & b{i}") for i in range(13)]
+    original = prop.satisfiable
+    calls = []
+    monkeypatch.setattr(prop, "satisfiable", lambda fs: calls.append(fs) or original(fs))
+    with pytest.raises(ResourceLimitError, match=r"^8191 supports for e exceed the limit of 4096$"):
+        list(completion_walk(e, base, [], 12))
+    assert calls == []
+    assert list(completion_walk(e, base[:12], [], 12)) == [((), p("a"), True)]
+    assert list(completion_walk(e, base[:12], [], 10**12)) == [((), p("a"), True)]
+    with pytest.raises(ResourceLimitError):
+        complete_enthymeme(e, base, [], max_added=12)
 
 
 def test_make_enthymeme_threshold():
