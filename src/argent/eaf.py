@@ -47,6 +47,7 @@ from .structured import (
     DEDUCTIVE,
     ENTHYMEME,
     StructuredArgument,
+    check_max_added,
     completion_walk,
     is_defeater,
 )
@@ -371,7 +372,9 @@ def acceptable_afs(
     count) with no superfluous added formula; candidates are tried current
     first, then smallest first, so the first witness found is minimal.  The
     witness maps only the enthymemes whose completion actually changed.
+    Raises ValueError for a negative `max_added`.
     """
+    check_max_added(max_added)
     amap = eaf.argument_map
     enth = set(eaf.enthymeme_ids)
     candidates_of = cache(lambda aid: _witness_candidates(amap[aid], base, pool, max_added))

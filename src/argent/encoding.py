@@ -25,6 +25,7 @@ from . import kernels
 from .af import ArgumentationFramework, skeptical_accepted
 from .errors import ResourceLimitError, VocabularyMismatchError
 from .prop import (
+    TRUE,
     Const,
     Formula,
     Iff,
@@ -291,19 +292,9 @@ def emit_stable_encoding(af: ArgumentationFramework) -> Formula:
             for y in af.arguments:
                 unattacked = conj(tuple(Not(Var(enc.att_var(z, y))) for z in members))
                 antecedent_terms.append(unattacked if y in members else neg(unattacked))
-            antecedent = substitute(conj(tuple(antecedent_terms)), {})
-            folded = _fold_implication(antecedent, Const(x in members))
-            if folded != Const(True):
+            folded = substitute(Implies(conj(antecedent_terms), Const(x in members)), {})
+            if folded != TRUE:
                 conjuncts.append(folded)
         parts.append(Iff(Var(enc.acc_var(x)), conj(tuple(conjuncts))))
     return conj(tuple(parts))
 
-
-def _fold_implication(antecedent: Formula, consequent: Formula) -> Formula:
-    if antecedent == Const(False) or consequent == Const(True):
-        return Const(True)
-    if consequent == Const(False):
-        return neg(antecedent)
-    if antecedent == Const(True):
-        return consequent
-    return Implies(antecedent, consequent)

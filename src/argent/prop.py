@@ -7,15 +7,15 @@ formula.  ``#`` starts a comment running to the end of the line.  Belief-base
 files hold one formula per line, blank lines ignored.  Nesting is bounded by
 ``MAX_NESTING`` levels (see :class:`FormulaParser`).
 
-Formulas are immutable trees; equality and set membership are structural.
-Each node computes its hash and its variable set once, on first use.
+Formulas are immutable trees of frozen dataclasses; equality, hashing and
+set membership are structural, and nothing is memoized on a node.
 
 Semantic questions are answered on truth tables: over an atom order of width
 n, a formula compiles to one int of 2^n bits whose bit m is the formula's
 value under assignment m (``order[0]`` is the most significant bit of m), so
 ``&``, ``|`` and ``^`` combine whole tables at once.  :func:`satisfiable`
-ANDs the tables of its conjuncts, kept in a small cache keyed by (formula,
-atom order); :func:`entails` goes through it; :func:`models` decodes the set
+ANDs the tables of its conjuncts, built afresh over one atom order for each
+call; :func:`entails` goes through it; :func:`models` decodes the set
 bits of one table in canonical order; :func:`subset_walk` compiles its
 formulas once and ANDs their tables.  Above ``ENUMERATION_LIMIT`` atoms
 :func:`satisfiable` falls back to unit propagation and splitting, and
@@ -40,11 +40,9 @@ ID_PATTERN = re.compile(IDENT + r"\Z")
 # and `models` and `dalal_revise` refuse.
 ENUMERATION_LIMIT = 20
 
-# Conjunct tables kept by `satisfiable`, and the widest order for which they
-# and the atom columns are kept (2^12 bits, 512 bytes a table): wider tables
-# seldom recur and would make the caches hold megabytes.  It is also the
-# widest walk that `subset_walk` runs on tables.
-_TABLE_CACHE_SIZE = 256
+# Widest order whose atom columns are kept, one set per width (2^12 bits,
+# 512 bytes a column): wider columns would make the cache hold megabytes.  It
+# is also the widest walk that `subset_walk` runs on compiled tables.
 _CACHED_WIDTH = 12
 
 # Deepest nesting the parser accepts (see FormulaParser); it keeps every
@@ -57,51 +55,29 @@ CONFLICT_CANDIDATE_LIMIT = 16
 
 
 class Formula:
-    """Base class for formula nodes.  Instances are immutable and hashable."""
-
-    # The hash and the variable set, memoized on first use.
-    __slots__ = ("_hash", "_vars")
+    """Base class for formula nodes.  Nodes are frozen dataclasses, so they
+    are immutable, and equality and hashing are structural."""
 
     def __str__(self) -> str:
         return format_formula(self)
 
-    def __getstate__(self):
-        # Only the fields are pickled: string hashes differ between processes.
-        return self.__dict__
 
-
-def _node(cls):
-    """Frozen dataclass whose structural hash is computed once per instance."""
-    cls = dataclass(frozen=True)(cls)
-    field_hash = cls.__hash__
-
-    def __hash__(self):
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = field_hash(self)
-            object.__setattr__(self, "_hash", h)
-        return h
-
-    cls.__hash__ = __hash__
-    return cls
-
-
-@_node
+@dataclass(frozen=True)
 class Var(Formula):
     name: str
 
 
-@_node
+@dataclass(frozen=True)
 class Const(Formula):
     value: bool
 
 
-@_node
+@dataclass(frozen=True)
 class Not(Formula):
     child: Formula
 
 
-@_node
+@dataclass(frozen=True)
 class And(Formula):
     children: tuple[Formula, ...]
 
@@ -110,7 +86,7 @@ class And(Formula):
             raise ValueError("And nodes need at least two children; use conj()")
 
 
-@_node
+@dataclass(frozen=True)
 class Or(Formula):
     children: tuple[Formula, ...]
 
@@ -119,13 +95,13 @@ class Or(Formula):
             raise ValueError("Or nodes need at least two children; use disj()")
 
 
-@_node
+@dataclass(frozen=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@_node
+@dataclass(frozen=True)
 class Iff(Formula):
     left: Formula
     right: Formula
@@ -421,10 +397,7 @@ def format_formula(f: Formula) -> str:
 # ---------------------------------------------------------------------------
 
 def variables(f: Formula) -> frozenset[str]:
-    """The variable names of `f`, computed once per node asked (not per subtree)."""
-    out = getattr(f, "_vars", None)
-    if out is not None:
-        return out
+    """The variable names of `f`."""
     names = set()
     stack = [f]
     while stack:
@@ -437,9 +410,7 @@ def variables(f: Formula) -> frozenset[str]:
             stack.extend(g.children)
         elif not isinstance(g, Const):
             stack += (g.left, g.right)
-    out = frozenset(names)
-    object.__setattr__(f, "_vars", out)
-    return out
+    return frozenset(names)
 
 
 def evaluate(f: Formula, true_names) -> bool:
@@ -585,11 +556,6 @@ def truth_table(f: Formula, cols: Mapping[str, int], full: int) -> int:
     if isinstance(f, Const):
         return full if f.value else 0
     raise TypeError(f"not a formula: {f!r}")
-
-
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _cached_table(f: Formula, order: tuple[str, ...]) -> int:
-    return truth_table(f, *atom_tables(order))
 
 
 def _subset_names(names: Sequence[str]) -> list[tuple[str, ...]]:
@@ -790,15 +756,8 @@ def satisfiable(formulas: Sequence[Formula]) -> bool:
     if len(names) > ENUMERATION_LIMIT:
         flat = _flatten_conjuncts(flat)
         return flat is not None and (not flat or _split_search(flat))
-    order = tuple(sorted(names))
-    t = -1
-    if len(order) <= _CACHED_WIDTH:
-        for g in flat:
-            t &= _cached_table(g, order)
-            if not t:
-                return False
-        return True
-    cols, full = atom_tables(order)
+    cols, full = atom_tables(sorted(names))
+    t = full
     for g in flat:
         t &= truth_table(g, cols, full)
         if not t:

@@ -272,7 +272,7 @@ def complete_enthymeme(
     With `strict` set, completions must also pass the consistency, entailment
     and minimality checks of deductive arguments (base membership excepted,
     since the transmitted part comes from another agent).  Raises
-    ResourceLimitError as :func:`completion_walk` does.
+    ValueError and ResourceLimitError as :func:`completion_walk` does.
     """
     fixed = list(e.fixed_support)
     out: list[StructuredArgument] = []
@@ -283,13 +283,21 @@ def complete_enthymeme(
     return out
 
 
+def check_max_added(max_added: int) -> None:
+    """Refuse a negative bound on the added support."""
+    if max_added < 0:
+        raise ValueError(f"max_added must be non-negative, got {max_added}")
+
+
 def completion_walk(e: StructuredArgument, base: BeliefBase, pool: ClaimPool, max_added: int):
     """(added support, full claim, tight) for each completion of `e`, in the
     order of :func:`complete_enthymeme`; `tight` says that no added formula
     can be dropped (see :func:`added_support_is_tight`).
 
-    Raises ResourceLimitError, before any support is tested, when the walk
-    could test more than _COMPLETION_SUPPORT_LIMIT supports."""
+    Raises ValueError for a negative `max_added`, and ResourceLimitError,
+    before any support is tested, when the walk could test more than
+    _COMPLETION_SUPPORT_LIMIT supports."""
+    check_max_added(max_added)
     transmitted = set(e.fixed_support)
     base_c = [f for f in dict.fromkeys(base) if f not in transmitted]
     supports = sum(comb(len(base_c), k) for k in range(min(max_added, len(base_c)) + 1))

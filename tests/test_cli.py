@@ -255,6 +255,14 @@ def test_completion_guard_exit_code(tmp_path, capsys):
     assert main(argv + ["3"]) == 0  # 2,952 supports
 
 
+def test_negative_max_added_exits_2(capsys):
+    argv = ["eaf", "acceptable", "--eaf", str(DATA / "f3.eaf"), "--goal", "acc(e1)",
+            "--beliefs", str(DATA / "beliefs_completion.txt"),
+            "--claims", str(DATA / "claims_completion.txt"), "--max-added", "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", "error: max_added must be non-negative, got -1\n")
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["stable", "/nonexistent/x.apx"]) == 2
 

@@ -163,6 +163,17 @@ def test_certain_attack_survives_every_completion(f6):
         assert not is_consistent(list(completion.content) + list(d3.content))
 
 
+
+def test_negative_max_added_is_refused(f3):
+    e1 = f3.argument_map["e1"]
+    bare = StructuredArgument.enthymeme("e1", e1.fixed_support, e1.fixed_claim)
+    with pytest.raises(ValueError, match="max_added must be non-negative, got -1"):
+        complete_enthymeme(bare, [p("gamma")], [], max_added=-1)
+    outcome = revise_eaf(f3, "acc(e1)")
+    with pytest.raises(ValueError, match="max_added must be non-negative, got -2"):
+        acceptable_afs(f3, outcome, [p("gamma")], [], max_added=-2)
+
+
 # ---------------------------------------------------------------------------
 # Integrity constraints
 # ---------------------------------------------------------------------------

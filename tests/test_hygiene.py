@@ -1,4 +1,5 @@
-"""Source hygiene: every name a library module imports is used in it."""
+"""Source hygiene: every name a library module imports is used in it, and
+every private module-level name of the package is read somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -31,3 +32,46 @@ def test_scan_sees_unused_and_used_imports():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """``module._name`` for each module-level function, class or constant
+    whose name starts with one underscore (dunders aside) and that no module
+    in `sources` reads: by name, as an attribute, or in a ``from`` import."""
+    defined = []
+    read = set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t)
+                         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+            else:
+                names = []
+            defined += [(module, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    return [f"{module}.{name}" for module, name in defined if name not in read]
+
+
+def test_scan_sees_dead_and_read_private_names():
+    sources = {
+        "a": "_LIMIT = 3\n_x, _y = 1, 2\n_z: int = 0\n__all__ = []\n"
+             "def _used(): return _LIMIT\nclass _Dead: pass\ndef _stub(): pass\n",
+        "b": "from .a import _used\nimport a\n_used(a._y)\n",
+    }
+    assert dead_private_names(sources) == ["a._x", "a._z", "a._Dead", "a._stub"]
+
+
+def test_no_dead_private_names():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_names(sources) == []

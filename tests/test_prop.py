@@ -1,6 +1,7 @@
 """Formula parsing, printing, models, entailment, minimal conflicts."""
 
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -293,6 +294,30 @@ def test_splitting_search_work_ignores_hash_seed():
     assert len(outputs) == 1, outputs
 
 
+_PICKLED_TEXT = "(a -> b & !c) <-> (d | true) & e"
+
+# Unpickles a formula from stdin and compares it with a fresh parse.
+_UNPICKLE = f"""
+import pickle, sys
+from argent import parse_formula
+f = pickle.loads(sys.stdin.buffer.read())
+fresh = parse_formula({_PICKLED_TEXT!r})
+assert f == fresh and hash(f) == hash(fresh), (hash(f), hash(fresh))
+"""
+
+
+def test_pickled_formula_hashes_structurally_in_another_process():
+    # String hashes differ between processes, so no hash may travel in a pickle.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    f = p(_PICKLED_TEXT)
+    hash(f)
+    seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _UNPICKLE], env=env, input=pickle.dumps(f),
+                          capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()
+
+
 def test_models_width_guard():
     names = tuple(f"v{i}" for i in range(26))
     with pytest.raises(ResourceLimitError, match=r"2\^26 assignments"):
@@ -321,18 +346,18 @@ def test_interpretation_validates_true_set():
         Interpretation(v, frozenset({"c"}))
 
 
-def test_uncached_table_path_matches_splitting_search():
-    # 13 to 20 atoms: too wide for the table cache, narrow enough for a table.
-    from argent.prop import _CACHED_WIDTH, _flatten_conjuncts, _split_search, satisfiable
-    from argent.prop import variables
+def test_table_path_matches_splitting_search():
+    # Every width up to ENUMERATION_LIMIT goes through the one table path.
+    from argent.prop import ENUMERATION_LIMIT, _flatten_conjuncts, _split_search, satisfiable
+    from argent.prop import disj, variables
 
     rng = random.Random(2024)
     answers = set()
-    for width in range(_CACHED_WIDTH + 1, 21):
+    for width in range(1, ENUMERATION_LIMIT + 1):
         names = [f"x{i}" for i in range(width)]
         for _ in range(3):
             clauses = [
-                Or(tuple(rng.choice((Var(v), Not(Var(v)))) for v in rng.sample(names, 3)))
+                disj(rng.choice((Var(v), Not(Var(v)))) for v in rng.sample(names, min(width, 3)))
                 for _ in range(round(4.26 * width))
             ]
             assert len(set().union(*map(variables, clauses))) == width
