@@ -22,7 +22,13 @@ from itertools import combinations
 from typing import Iterable
 
 from . import kernels
-from .af import ArgumentationFramework, format_af, format_extension, format_pair_set
+from .af import (
+    ArgumentationFramework,
+    _guard_size,
+    format_af,
+    format_extension,
+    format_pair_set,
+)
 from .encoding import (
     AttAccVocabulary,
     _vocabulary_of,
@@ -30,7 +36,7 @@ from .encoding import (
     pin_att_units,
     scan_candidates,
 )
-from .errors import ParseError, ResourceLimitError, UnknownArgumentError
+from .errors import ParseError, UnknownArgumentError
 from .prop import And, Formula, FormulaParser, TRUE, Var, satisfiable, scan, variables
 
 DALAL = "dalal"
@@ -140,15 +146,15 @@ def revise_af(
 
     An empty outcome (never an exception) means no admissible model exists.
     """
+    _guard_size(af)
     n = len(af.arguments)
-    if n > kernels.MAX_ARGUMENTS:
-        raise ResourceLimitError(
-            f"{n} arguments exceed the enumeration limit of {kernels.MAX_ARGUMENTS}"
-        )
+    w_att, w_acc = mode_weights(mode, n)
     enc = _vocabulary_of(af.arguments)
     constraint = TRUE if constraint is None else constraint
     combined = And((goal, constraint)) if constraint != TRUE else goal
-    w_att, w_acc = mode_weights(mode, n)
+    foreign = variables(combined) - enc.vocabulary.name_set
+    if foreign:
+        raise UnknownArgumentError(f"variable {min(foreign)!r} is not an att/acc variable")
     if not satisfiable([combined]):
         return RevisionOutcome(())
     pins = pin_att_units(combined, enc)
@@ -163,9 +169,6 @@ def revise_af(
     baseline = bin(start ^ base_att).count("1")
 
     acc0_mask, _ = kernels.acceptance_mask(attacker_masks_from(base_att, n), n)
-    foreign = variables(combined) - enc.vocabulary.name_set
-    if foreign:
-        raise UnknownArgumentError(f"variable {min(foreign)!r} is not an att/acc variable")
 
     hits: list[tuple[int, tuple[int, ...], int, bool]] = []
     best: int | None = None

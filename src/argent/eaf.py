@@ -296,12 +296,10 @@ def constraint_deductive(eaf: EnthymemeAF) -> Formula:
     return conj(tuple(parts + negatives))
 
 
-def constraint_certain(
-    eaf: EnthymemeAF, classification: AttackClassification | None = None
-) -> Formula:
+def constraint_certain(eaf: EnthymemeAF) -> Formula:
     """Freeze every certain attack; forbid non-core attacks between deductive
     arguments.  Negative literals cover only deductive pairs."""
-    cls = classification or classify_attacks(eaf)
+    cls = classify_attacks(eaf)
     enc = _vocabulary_of(eaf.ids)
     deductive = eaf.deductive_ids
     positives = [
@@ -332,7 +330,7 @@ def revise_eaf(
         constraint = constraint_deductive(eaf)
     elif constraint_mode == "certain":
         constraint = constraint_certain(eaf)
-    elif constraint_mode in (None, "none"):
+    elif constraint_mode == "none":
         constraint = TRUE
     else:
         raise ValueError(f"unknown constraint mode: {constraint_mode!r}")

@@ -93,9 +93,6 @@ class AttAccVocabulary:
     def att_position(self, name: str) -> int | None:
         return self._att_index.get(name)
 
-    def acc_position(self, name: str) -> int | None:
-        return self._acc_index.get(name)
-
     @classmethod
     def from_vocabulary(cls, vocabulary: Vocabulary) -> "AttAccVocabulary":
         total = len(vocabulary)

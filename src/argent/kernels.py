@@ -12,46 +12,62 @@ BACKEND = "python"
 MAX_ARGUMENTS = 22
 
 
-def stable_masks(attacker_masks, n: int) -> list[int]:
-    """All stable subset masks, ascending.
-
-    Depth-first over argument indices, pruning branches whose included members
-    conflict and excluded members can no longer be attacked.
-    """
+def _check_count(n: int) -> None:
     if n < 0 or n > MAX_ARGUMENTS:
         raise ValueError(f"argument count {n} outside supported range 0..{MAX_ARGUMENTS}")
-    if n == 0:
-        return [0]
-    targets = [0] * n
-    for y in range(n):
-        m = attacker_masks[y]
-        z = 0
-        while m:
-            if m & 1:
-                targets[z] |= 1 << y
-            m >>= 1
-            z += 1
-    res: list[int] = []
-    full = (1 << n) - 1
-    atk = list(attacker_masks)
 
-    def extend(i: int, chosen: int) -> None:
+
+def _stable_leaves(packed, future, n: int, w: int, full: int):
+    """Yield ``(chosen, candidates)`` for each stable subset mask `chosen`,
+    with the candidates (bits of `full`) in which it is stable.
+
+    Depth-first over argument indices, one branch for all candidates: a
+    branch carries the candidates for which it is still open, and is pruned
+    where its included members conflict or an excluded member can no longer
+    be attacked.  Argument i's packed int holds, in slot y of `w` bits, the
+    candidates where i attacks y, and in slot n + y those where y attacks i;
+    `future[i]` holds the candidates where an argument after i attacks i.
+    The OR of the packed ints of the chosen arguments then answers "is x
+    attacked by the chosen set" and "does x attack it" for every candidate
+    with one shift.
+    """
+    stack = [(0, 0, 0, full)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        i, chosen, hit, open_ = pop()
         if i == n:
             for y in range(n):
-                if not (chosen >> y) & 1 and not (atk[y] & chosen):
-                    return
-            res.append(chosen)
-            return
-        bit = 1 << i
-        future = full & ~((bit << 1) - 1)
-        if atk[i] & (chosen | future):
-            extend(i + 1, chosen)
-        if not (atk[i] & bit) and not ((atk[i] | targets[i]) & chosen):
-            extend(i + 1, chosen | bit)
+                if not chosen >> y & 1:
+                    open_ &= hit >> (y * w)
+                    if not open_:
+                        break
+            else:
+                yield chosen, open_
+            continue
+        out = open_ & (hit >> (i * w) | future[i])
+        if out:
+            push((i + 1, chosen, hit, out))
+        grown = hit | packed[i]
+        into = open_ & ~(grown >> (i * w) | grown >> ((n + i) * w))
+        if into:
+            push((i + 1, chosen | 1 << i, grown, into))
 
-    extend(0, 0)
-    res.sort()
-    return res
+
+def stable_masks(attacker_masks, n: int) -> list[int]:
+    """All stable subset masks, ascending: :func:`_stable_leaves` for one
+    framework, one bit per slot."""
+    _check_count(n)
+    packed = [0] * n
+    future = [0] * n
+    for y in range(n):
+        m = attacker_masks[y]
+        packed[y] |= m << n
+        future[y] = 1 if m >> (y + 1) else 0
+        while m:
+            low = m & -m
+            packed[low.bit_length() - 1] |= 1 << y
+            m ^= low
+    return sorted(chosen for chosen, _ in _stable_leaves(packed, future, n, 1, 1))
 
 
 def acceptance_mask(attacker_masks, n: int) -> tuple[int, bool]:
@@ -75,23 +91,13 @@ def acceptance_columns(att_cols, n: int, full: int) -> tuple[list[int], int]:
     Bit c of `att_cols[i * n + j]` says whether i attacks j in candidate c,
     and `full` has one bit per candidate.  Returns one acceptance column per
     argument and the column of candidates without a stable extension, which
-    accept every argument (the vacuous convention).
-
-    The search is that of :func:`stable_masks`, run once for all candidates:
-    each branch carries the candidates for which it is still open.  Argument
-    i's packed int holds, in slot y of `full.bit_length()` bits, the
-    candidates where i attacks y, and in slot n + y those where y attacks i.
-    The OR of the packed ints of the chosen arguments then answers "is x
-    attacked by the chosen set" and "does x attack it" for every candidate
-    with one shift.
+    accept every argument (the vacuous convention).  The candidates share one
+    run of :func:`_stable_leaves`, with a slot of `full.bit_length()` bits.
     """
-    if n < 0 or n > MAX_ARGUMENTS:
-        raise ValueError(f"argument count {n} outside supported range 0..{MAX_ARGUMENTS}")
-    if not full:
-        return [0] * n, 0
+    _check_count(n)
     w = full.bit_length()
     packed = [0] * n
-    future = [0] * n  # candidates where some later argument attacks i
+    future = [0] * n
     for i in range(n):
         p = f = 0
         for y in range(n):
@@ -102,27 +108,9 @@ def acceptance_columns(att_cols, n: int, full: int) -> tuple[list[int], int]:
         future[i] = f
     found = 0
     rejected = [0] * n  # candidates with a stable extension omitting the argument
-    stack = [(0, 0, 0, full)]
-    pop, push = stack.pop, stack.append
-    while stack:
-        i, chosen, hit, open_ = pop()
-        if i == n:
-            for y in range(n):
-                if not chosen >> y & 1:
-                    open_ &= hit >> (y * w)
-                    if not open_:
-                        break
-            else:
-                found |= open_
-                for y in range(n):
-                    if not chosen >> y & 1:
-                        rejected[y] |= open_
-            continue
-        out = open_ & (hit >> (i * w) | future[i])
-        if out:
-            push((i + 1, chosen, hit, out))
-        grown = hit | packed[i]
-        into = open_ & ~(grown >> (i * w) | grown >> ((n + i) * w))
-        if into:
-            push((i + 1, chosen | 1 << i, grown, into))
+    for chosen, open_ in _stable_leaves(packed, future, n, w, full):
+        found |= open_
+        for y in range(n):
+            if not chosen >> y & 1:
+                rejected[y] |= open_
     return [full & ~r for r in rejected], full & ~found

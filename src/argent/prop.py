@@ -53,6 +53,10 @@ MAX_NESTING = 100
 
 CONFLICT_CANDIDATE_LIMIT = 16
 
+# Most split nodes (conjunct lists searched) one `satisfiable` call above
+# ENUMERATION_LIMIT atoms may visit.
+SPLIT_NODE_LIMIT = 2**13
+
 
 class Formula:
     """Base class for formula nodes.  Nodes are frozen dataclasses, so they
@@ -766,23 +770,39 @@ def satisfiable(formulas: Sequence[Formula]) -> bool:
 
 
 def _split_search(flat: list[Formula]) -> bool:
-    """Unit propagation plus variable splitting on folded conjunct lists."""
-    units = unit_literals(flat)
-    if units is None:
-        return False
-    if units:
-        flat = _flatten_conjuncts(substitute(g, units) for g in flat)
-        if flat is None:
-            return False
-    if not flat:
-        return True
-    var = min(variables(flat[0]))  # not set order, which follows the string hash seed
-    for val in (True, False):
-        branch = _flatten_conjuncts(substitute(g, {var: val}) for g in flat)
-        if branch is None:
+    """Unit propagation plus variable splitting on folded conjunct lists,
+    depth first with the True branch first.  Each conjunct list searched is
+    a split node; past SPLIT_NODE_LIMIT nodes the search refuses."""
+    root = flat
+    stack = [(flat, None, True)]
+    nodes = 0
+    while stack:
+        flat, var, val = stack.pop()
+        if var is not None:
+            flat = _flatten_conjuncts(substitute(g, {var: val}) for g in flat)
+            if flat is None:
+                continue
+            if not flat:
+                return True
+        nodes += 1
+        if nodes > SPLIT_NODE_LIMIT:
+            width = len(frozenset().union(*map(variables, root)))
+            raise ResourceLimitError(
+                f"splitting search over {width} atoms exceeds the limit of "
+                f"{SPLIT_NODE_LIMIT} split nodes"
+            )
+        units = unit_literals(flat)
+        if units is None:
             continue
-        if not branch or _split_search(branch):
-            return True
+        if units:
+            flat = _flatten_conjuncts(substitute(g, units) for g in flat)
+            if flat is None:
+                continue
+            if not flat:
+                return True
+        var = min(variables(flat[0]))  # not set order, which follows the string hash seed
+        stack.append((flat, var, False))
+        stack.append((flat, var, True))
     return False
 
 
@@ -874,9 +894,7 @@ def _support_tests(fixed, extra, claims):
 
 
 def minimal_conflict_subsets(
-    candidates: Sequence[Formula],
-    context: Sequence[Formula] = (),
-    max_candidates: int = CONFLICT_CANDIDATE_LIMIT,
+    candidates: Sequence[Formula], context: Sequence[Formula] = ()
 ) -> list[tuple[Formula, ...]]:
     """All subset-minimal sets of `candidates` inconsistent with `context`.
 
@@ -887,9 +905,9 @@ def minimal_conflict_subsets(
     answer.
     """
     cand = list(dict.fromkeys(candidates))
-    if len(cand) > max_candidates:
+    if len(cand) > CONFLICT_CANDIDATE_LIMIT:
         raise ResourceLimitError(
-            f"{len(cand)} candidate formulas exceed the limit of {max_candidates}"
+            f"{len(cand)} candidate formulas exceed the limit of {CONFLICT_CANDIDATE_LIMIT}"
         )
     ctx = list(context)
     if satisfiable(cand + ctx):

@@ -206,7 +206,7 @@ def is_defeater(attacker: StructuredArgument, target: StructuredArgument) -> boo
 
 
 def exhaustive_graph(
-    base: BeliefBase, pool: ClaimPool, max_base: int = EXHAUSTIVE_BASE_LIMIT
+    base: BeliefBase, pool: ClaimPool
 ) -> tuple[ArgumentationFramework, dict[str, StructuredArgument]]:
     """Every deductive argument buildable from `base` with a claim in `pool`,
     under the defeater attack relation.
@@ -215,9 +215,9 @@ def exhaustive_graph(
     then position, claims in pool order.
     """
     base_c = list(dict.fromkeys(base))
-    if len(base_c) > max_base:
+    if len(base_c) > EXHAUSTIVE_BASE_LIMIT:
         raise ResourceLimitError(
-            f"{len(base_c)} belief-base formulas exceed the limit of {max_base}"
+            f"{len(base_c)} belief-base formulas exceed the limit of {EXHAUSTIVE_BASE_LIMIT}"
         )
     pool_c = list(dict.fromkeys(pool))
     args: list[StructuredArgument] = []

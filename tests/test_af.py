@@ -8,10 +8,12 @@ from argent import (
     ArgumentationFramework,
     ParseError,
     ResourceLimitError,
+    TRUE,
     UnknownArgumentError,
     format_af,
     is_stable,
     parse_af,
+    revise_af,
     skeptical_accepted,
     stable_extensions,
 )
@@ -142,5 +144,8 @@ def test_skeptical_equals_intersection(f1):
 def test_resource_guard():
     args = tuple(f"a{i}" for i in range(23))
     af = ArgumentationFramework(args, frozenset())
-    with pytest.raises(ResourceLimitError):
-        stable_extensions(af)
+    message = "23 arguments exceed the enumeration limit of 22"
+    for call in (stable_extensions, skeptical_accepted, lambda af: revise_af(af, TRUE)):
+        with pytest.raises(ResourceLimitError) as refused:
+            call(af)
+        assert str(refused.value) == message

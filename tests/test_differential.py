@@ -26,7 +26,6 @@ from argent import (
     Implies,
     Not,
     Or,
-    ResourceLimitError,
     StructuredArgument,
     TRUE,
     UnknownArgumentError,
@@ -423,9 +422,10 @@ def test_revise_af_foreign_variable():
         revise_af(af, And((Var("acc_a"), Var("foo"))))
     with pytest.raises(UnknownArgumentError, match="'foo'"):
         revise_af(af, Or((Var("acc_b"), Var("foo"))), mode=DALAL)
-    # An unsatisfiable goal is answered before its variables are looked at.
-    assert not revise_af(af, And((Var("foo"), Not(Var("foo")))))
-    # The resource guard fires before the variable check.
+    # The variables are checked before any work: before the satisfiability
+    # test and before the free-att guard, which this goal would trip.
+    with pytest.raises(UnknownArgumentError, match="'foo'"):
+        revise_af(af, And((Var("foo"), Not(Var("foo")))))
     wide = ArgumentationFramework(tuple(f"x{i}" for i in range(6)), frozenset())
-    with pytest.raises(ResourceLimitError):
-        revise_af(wide, Var("foo"))
+    with pytest.raises(UnknownArgumentError, match="'zz'"):
+        revise_af(wide, Var("zz"))

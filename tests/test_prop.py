@@ -262,6 +262,38 @@ def test_large_vocabulary_uses_splitting_search():
     assert not is_consistent(chain + [Not(Var("v25a"))])
 
 
+def test_splitting_search_depth_is_not_python_recursion():
+    # 200 clauses a_i | b_i take 200 nested splits; they must not need 200
+    # Python frames.
+    clauses = [Or((Var(f"a{i}"), Var(f"b{i}"))) for i in range(200)]
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        assert is_consistent(clauses)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _pigeonhole(pigeons, holes):
+    """Each pigeon in some hole, no hole holding two: unsatisfiable."""
+    lines = [" | ".join(f"p{i}_{j}" for j in range(holes)) for i in range(pigeons)]
+    lines += [f"!p{i}_{j} | !p{k}_{j}" for j in range(holes)
+              for i in range(pigeons) for k in range(i + 1, pigeons)]
+    return [p(t) for t in lines]
+
+
+def test_splitting_search_node_budget(monkeypatch):
+    # PHP(6,5) needs 651 split nodes over its 30 atoms.
+    from argent import prop
+
+    monkeypatch.setattr(prop, "SPLIT_NODE_LIMIT", 100)
+    with pytest.raises(ResourceLimitError, match=r"over 30 atoms exceeds the limit of 100 split"):
+        is_consistent(_pigeonhole(6, 5))
+
+
 # Counts the `substitute` calls of one splitting search over 22 variables.
 _SPLIT_WORK = """
 import random
