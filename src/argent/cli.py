@@ -28,14 +28,14 @@ from .encoding import _vocabulary_of
 from .errors import ArgentError, ResourceLimitError
 from .prop import (
     Vocabulary,
+    _decode_bits,
+    _model_table,
     format_formula,
-    format_interpretation,
-    models,
     parse_formula,
     parse_formula_lines,
     variables,
 )
-from .revision import dalal_revise
+from .revision import _dalal_table
 from .structured import CertaintyMap, StructuredArgument, exhaustive_graph, make_enthymeme
 
 EXIT_OK = 0
@@ -57,29 +57,41 @@ def _vocab(vocab_flag, *formulas):
     return Vocabulary(tuple(sorted(frozenset().union(*map(variables, formulas)))))
 
 
+def _json_names(names: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(map(json.dumps, names))
+
+
+def _print_models(table, vocabulary, order, fixed_true, emit_structured) -> None:
+    """Print the models of a truth table straight from its set bits: one
+    ``{a,b}`` line each, names in vocabulary order, or the JSON object of
+    their sorted name lists.  That object is joined from names quoted once
+    per half of the table's order, byte for byte what ``json.dumps`` gives;
+    quoted identifiers sort as the names do."""
+    if emit_structured:
+        found = _decode_bits(table, vocabulary, order, fixed_true, _json_names)
+        in_order = list(vocabulary.names) == sorted(vocabulary.names)
+        arrays = [
+            "[" + ", ".join(high + low if in_order else sorted(high + low)) + "]"
+            for high, low in found
+        ]
+        print('{"models": [' + ", ".join(arrays) + "]}")
+    else:
+        found = _decode_bits(table, vocabulary, order, fixed_true)
+        sys.stdout.write("".join(["{" + ",".join(high + low) + "}\n" for high, low in found]))
+
+
 def cmd_models(ns) -> int:
     f = parse_formula(ns.formula)
-    vocabulary = _vocab(ns.vocab, f)
-    found = models(f, vocabulary)
-    if ns.emit_structured:
-        print(json.dumps({"models": [sorted(m.true_set) for m in found]}))
-    else:
-        for m in found:
-            print(format_interpretation(m))
+    _print_models(*_model_table(f, _vocab(ns.vocab, f)), ns.emit_structured)
     return EXIT_OK
 
 
 def cmd_revise_formula(ns) -> int:
     phi = parse_formula(ns.phi)
     alpha = parse_formula(ns.alpha)
-    vocabulary = _vocab(ns.vocab, phi, alpha)
-    result = dalal_revise(phi, alpha, vocabulary)
-    if ns.emit_structured:
-        print(json.dumps({"models": [sorted(m.true_set) for m in result]}))
-    else:
-        for m in result:
-            print(format_interpretation(m))
-    return EXIT_OK if result else EXIT_EMPTY
+    table, vocabulary, order, fixed_true = _dalal_table(phi, alpha, _vocab(ns.vocab, phi, alpha))
+    _print_models(table, vocabulary, order, fixed_true, ns.emit_structured)
+    return EXIT_OK if table else EXIT_EMPTY
 
 
 def cmd_stable(ns) -> int:

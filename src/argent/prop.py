@@ -16,9 +16,12 @@ value under assignment m (``order[0]`` is the most significant bit of m), so
 ``&``, ``|`` and ``^`` combine whole tables at once.  :func:`satisfiable`
 ANDs the tables of its conjuncts, built afresh over one atom order for each
 call; :func:`entails` goes through it; :func:`models` decodes the set
-bits of one table in canonical order; :func:`subset_walk` compiles its
-formulas once and ANDs their tables.  Above ``ENUMERATION_LIMIT`` atoms
-:func:`satisfiable` falls back to unit propagation and splitting, and
+bits of one table in canonical order, from the names of two precomputed
+halves of the atom order, and checks the names against the vocabulary once
+per table; :func:`subset_walk` compiles its formulas once and ANDs their
+tables.  Above ``ENUMERATION_LIMIT`` atoms :func:`satisfiable` falls back to
+unit propagation and splitting, which keeps each conjunct next to its
+variable set and substitutes only the conjuncts an assignment touches, and
 :func:`models` refuses.
 """
 
@@ -28,6 +31,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import is_
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ParseError, ResourceLimitError, VocabularyMismatchError
@@ -437,7 +441,8 @@ def evaluate(f: Formula, true_names) -> bool:
 
 
 def substitute(f: Formula, assignment: Mapping[str, bool]) -> Formula:
-    """Replace assigned variables by constants, folding constants away."""
+    """Replace assigned variables by constants, folding constants away.  A
+    subformula that comes back unchanged is returned as the same object."""
     if isinstance(f, Var):
         if f.name in assignment:
             return TRUE if assignment[f.name] else FALSE
@@ -445,35 +450,34 @@ def substitute(f: Formula, assignment: Mapping[str, bool]) -> Formula:
     if isinstance(f, Const):
         return f
     if isinstance(f, Not):
-        return neg(substitute(f.child, assignment))
+        child = substitute(f.child, assignment)
+        return f if child is f.child and not isinstance(child, Const) else neg(child)
     if isinstance(f, And):
         parts = []
         for c in f.children:
             s = substitute(c, assignment)
-            if s == FALSE:
-                return FALSE
-            if s != TRUE:
+            if not isinstance(s, Const):
                 parts.append(s)
-        return conj(parts)
+            elif not s.value:
+                return FALSE
+        return f if _unchanged(parts, f.children) else conj(parts)
     if isinstance(f, Or):
         parts = []
         for c in f.children:
             s = substitute(c, assignment)
-            if s == TRUE:
-                return TRUE
-            if s != FALSE:
+            if not isinstance(s, Const):
                 parts.append(s)
-        return disj(parts)
+            elif s.value:
+                return TRUE
+        return f if _unchanged(parts, f.children) else disj(parts)
     if isinstance(f, Implies):
         left = substitute(f.left, assignment)
         right = substitute(f.right, assignment)
-        if left == FALSE or right == TRUE:
-            return TRUE
-        if left == TRUE:
-            return right
-        if right == FALSE:
-            return neg(left)
-        return Implies(left, right)
+        if isinstance(left, Const):
+            return right if left.value else TRUE
+        if isinstance(right, Const):
+            return TRUE if right.value else neg(left)
+        return f if left is f.left and right is f.right else Implies(left, right)
     if isinstance(f, Iff):
         left = substitute(f.left, assignment)
         right = substitute(f.right, assignment)
@@ -481,8 +485,12 @@ def substitute(f: Formula, assignment: Mapping[str, bool]) -> Formula:
             return right if left.value else neg(right)
         if isinstance(right, Const):
             return left if right.value else neg(left)
-        return Iff(left, right)
+        return f if left is f.left and right is f.right else Iff(left, right)
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _unchanged(parts: list[Formula], children: tuple[Formula, ...]) -> bool:
+    return len(parts) == len(children) and all(map(is_, parts, children))
 
 
 # ---------------------------------------------------------------------------
@@ -562,12 +570,59 @@ def truth_table(f: Formula, cols: Mapping[str, int], full: int) -> int:
     raise TypeError(f"not a formula: {f!r}")
 
 
-def _subset_names(names: Sequence[str]) -> list[tuple[str, ...]]:
-    """The names true in each assignment index over `names`, names[0] most significant."""
+def _subset_names(
+    names: Sequence[str], fixed: Iterable[str], position: Mapping[str, int]
+) -> list[tuple[str, ...]]:
+    """The names true in each assignment index over `names`, names[0] most
+    significant, with every name of `fixed` true as well.  Each fixed name
+    comes just before the first of `names` that follows it in `position`."""
     out: list[tuple[str, ...]] = [()]
+    pending = sorted(fixed, key=position.__getitem__)
     for name in reversed(names):
+        while pending and position[pending[-1]] > position[name]:
+            head = (pending.pop(),)
+            out = [head + t for t in out]
         out += [(name,) + t for t in out]
+    if pending:
+        head = tuple(pending)
+        out = [head + t for t in out]
     return out
+
+
+def _decode_bits(
+    table: int,
+    vocabulary: Vocabulary,
+    order: Sequence[str],
+    fixed_true: Iterable[str],
+    part=tuple,
+) -> Iterator[tuple]:
+    """For each set bit of a truth table over `order`, in ascending bit
+    order, the names true under it as a pair ``(part(high), part(low))``.
+
+    `order` splits into a high and a low half, and the subsets of each half
+    are named once, so a bit costs two lookups.  The names of `fixed_true`
+    are true under every bit; each joins the half it falls in by vocabulary
+    position, so that with `order` in vocabulary order ``high + low`` lists
+    the true names in vocabulary order.  Every name must be in the
+    vocabulary.
+    """
+    position = {name: i for i, name in enumerate(vocabulary.names)}
+    fixed = tuple(fixed_true)
+    low = len(order) // 2
+    high_names, low_names = order[: len(order) - low], order[len(order) - low:]
+    cut = position[low_names[0]] if low else len(position)
+    highs = [
+        part(t) for t in _subset_names(high_names, [f for f in fixed if position[f] < cut], position)
+    ]
+    lows = [
+        part(t) for t in _subset_names(low_names, [f for f in fixed if position[f] >= cut], position)
+    ]
+    mask = (1 << low) - 1
+    bits = bin(table)[:1:-1]
+    m = bits.find("1")
+    while m >= 0:
+        yield highs[m >> low], lows[m & mask]
+        m = bits.find("1", m + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -646,13 +701,20 @@ def models(f: Formula, vocabulary: Vocabulary) -> list[Interpretation]:
     so formulas that pin most variables stay cheap; more than ENUMERATION_LIMIT
     variables left free trips the resource guard.
     """
+    return table_models(*_model_table(f, vocabulary))
+
+
+def _model_table(f: Formula, vocabulary: Vocabulary):
+    """The models of `f` as ``(table, vocabulary, order, fixed_true)``, the
+    arguments of :func:`table_models`: a truth table over the names that
+    the unit literals of `f` leave free, in vocabulary order, and the names
+    they pin to true."""
     units = pinned_literals(f, vocabulary)
     if units is None:
-        return []
+        return 0, vocabulary, (), ()
     free = tuple(name for name in vocabulary.names if name not in units)
     fixed_true = [name for name, value in units.items() if value]
-    table = truth_table(f, *atom_tables(free, units))
-    return table_models(table, vocabulary, free, fixed_true)
+    return truth_table(f, *atom_tables(free, units)), vocabulary, free, fixed_true
 
 
 def pinned_literals(f: Formula, vocabulary: Vocabulary):
@@ -688,18 +750,30 @@ def table_models(
     """The interpretations over `vocabulary` of the set bits of a truth table
     over `order`, in ascending bit order; the names in `fixed_true` are true
     in each.  With `order` a subsequence of the vocabulary order the result is
-    in canonical order."""
-    low = len(order) // 2
-    fixed = tuple(fixed_true)
-    high_sets = [frozenset(fixed + t) for t in _subset_names(order[: len(order) - low])]
-    low_sets = [frozenset(t) for t in _subset_names(order[len(order) - low:])]
-    mask = (1 << low) - 1
-    bits = bin(table)[:1:-1]
+    in canonical order.
+
+    The names of `order` and `fixed_true` are checked against the vocabulary
+    once per table (VocabularyMismatchError when one is outside it and the
+    table is not 0), so each interpretation is built without the
+    constructor's check.
+    """
+    if not table:
+        return []
+    fixed_true = tuple(fixed_true)
+    extra = frozenset(order).union(fixed_true) - vocabulary.name_set
+    if extra:
+        raise VocabularyMismatchError(
+            f"true set mentions variables outside the vocabulary: {sorted(extra)}"
+        )
+    new = object.__new__
+    set_vocabulary = Interpretation.vocabulary.__set__
+    set_true_set = Interpretation.true_set.__set__
     out = []
-    m = bits.find("1")
-    while m >= 0:
-        out.append(Interpretation(vocabulary, high_sets[m >> low] | low_sets[m & mask]))
-        m = bits.find("1", m + 1)
+    for high, low in _decode_bits(table, vocabulary, order, fixed_true, frozenset):
+        i = new(Interpretation)
+        set_vocabulary(i, vocabulary)
+        set_true_set(i, high | low)
+        out.append(i)
     return out
 
 
@@ -726,21 +800,6 @@ def unit_literals(formulas: Iterable[Formula]):
 # Satisfiability, consistency, entailment
 # ---------------------------------------------------------------------------
 
-def _flatten_conjuncts(formulas: Iterable[Formula]):
-    """Fold constants and flatten nested Ands; None when plainly unsatisfiable."""
-    flat = []
-    stack = [substitute(f, {}) for f in formulas]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, And):
-            stack.extend(g.children)
-        elif g == FALSE:
-            return None
-        elif g != TRUE:
-            flat.append(g)
-    return flat
-
-
 def satisfiable(formulas: Sequence[Formula]) -> bool:
     """Joint satisfiability of a set of formulas over their own vocabulary."""
     flat = []
@@ -756,10 +815,10 @@ def satisfiable(formulas: Sequence[Formula]) -> bool:
             flat.append(g)
     if not flat:
         return True
-    names = frozenset().union(*map(variables, flat))
+    sets = [variables(g) for g in flat]
+    names = frozenset().union(*sets)
     if len(names) > ENUMERATION_LIMIT:
-        flat = _flatten_conjuncts(flat)
-        return flat is not None and (not flat or _split_search(flat))
+        return _split_search(list(zip(flat, sets)))
     cols, full = atom_tables(sorted(names))
     t = full
     for g in flat:
@@ -769,40 +828,77 @@ def satisfiable(formulas: Sequence[Formula]) -> bool:
     return True
 
 
-def _split_search(flat: list[Formula]) -> bool:
+_Conjuncts = list[tuple[Formula, frozenset[str]]]
+
+
+def _assign(conjuncts: _Conjuncts, assignment: Mapping[str, bool]) -> _Conjuncts | None:
+    """The conjunct list after `assignment`, in reverse order; None when a
+    conjunct folds to false.  Conjuncts are (formula, variable set) pairs.
+    Only those whose variable set meets the assignment are substituted, then
+    folded and flattened; the others are kept as they are.  An empty
+    assignment folds every conjunct.  The order picks the split variable,
+    so it fixes the nodes the search visits, and with them its budget."""
+    out = []
+    for pair in reversed(conjuncts):
+        g, names = pair
+        if assignment and names.isdisjoint(assignment):
+            out.append(pair)
+            continue
+        s = substitute(g, assignment)
+        if s is g:
+            out.append(pair)
+            continue
+        stack = [s]
+        while stack:
+            h = stack.pop()
+            if isinstance(h, And):
+                stack.extend(h.children)
+            elif not isinstance(h, Const):
+                out.append((h, variables(h)))
+            elif not h.value:
+                return None
+    return out
+
+
+def _split_search(conjuncts: _Conjuncts) -> bool:
     """Unit propagation plus variable splitting on folded conjunct lists,
-    depth first with the True branch first.  Each conjunct list searched is
-    a split node; past SPLIT_NODE_LIMIT nodes the search refuses."""
-    root = flat
-    stack = [(flat, None, True)]
+    depth first with the True branch first, splitting on the least name of
+    the first conjunct.  A split or a round of unit literals substitutes
+    only the conjuncts whose variable set it meets, so a node costs the
+    conjuncts it touches.  Each conjunct list searched is a split node; past
+    SPLIT_NODE_LIMIT nodes the search refuses."""
+    root = _assign(conjuncts, {})
+    if root is None:
+        return False
+    stack = [(root, None)]
     nodes = 0
     while stack:
-        flat, var, val = stack.pop()
-        if var is not None:
-            flat = _flatten_conjuncts(substitute(g, {var: val}) for g in flat)
+        flat, split = stack.pop()
+        if split is not None:
+            flat = _assign(flat, split)
             if flat is None:
                 continue
-            if not flat:
-                return True
+        if not flat:
+            return True
         nodes += 1
         if nodes > SPLIT_NODE_LIMIT:
-            width = len(frozenset().union(*map(variables, root)))
+            width = len(frozenset().union(*(names for _, names in root)))
             raise ResourceLimitError(
                 f"splitting search over {width} atoms exceeds the limit of "
                 f"{SPLIT_NODE_LIMIT} split nodes"
             )
-        units = unit_literals(flat)
+        units = unit_literals([g for g, _ in flat])
         if units is None:
             continue
         if units:
-            flat = _flatten_conjuncts(substitute(g, units) for g in flat)
+            flat = _assign(flat, units)
             if flat is None:
                 continue
             if not flat:
                 return True
-        var = min(variables(flat[0]))  # not set order, which follows the string hash seed
-        stack.append((flat, var, False))
-        stack.append((flat, var, True))
+        var = min(flat[0][1])  # not set order, which follows the string hash seed
+        stack.append((flat, {var: False}))
+        stack.append((flat, {var: True}))
     return False
 
 

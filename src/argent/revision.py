@@ -96,10 +96,16 @@ def dalal_revise(phi: Formula, alpha: Formula, vocabulary: Vocabulary) -> list[I
     pinned by unit literals of both formulas stay out of the tables, since
     they add the same distance to every pair of models.
     """
+    return table_models(*_dalal_table(phi, alpha, vocabulary))
+
+
+def _dalal_table(phi: Formula, alpha: Formula, vocabulary: Vocabulary):
+    """The result of :func:`dalal_revise` as the arguments of
+    :func:`~argent.prop.table_models`: ``(table, vocabulary, order, fixed_true)``."""
     phi_units = pinned_literals(phi, vocabulary)
     alpha_units = pinned_literals(alpha, vocabulary)
     if alpha_units is None:
-        return []
+        return 0, vocabulary, (), ()
     if phi_units is None:
         shared = alpha_units
     else:
@@ -120,4 +126,4 @@ def dalal_revise(phi: Formula, alpha: Formula, vocabulary: Vocabulary) -> list[I
                 grown |= (ball >> span) & false_j | (ball & false_j) << span
             ball = grown
         target &= ball
-    return table_models(target, vocabulary, order, [name for name, v in shared.items() if v])
+    return target, vocabulary, order, [name for name, v in shared.items() if v]

@@ -35,8 +35,8 @@ DEDUCTIVE = "deductive"
 ENTHYMEME = "enthymeme"
 
 EXHAUSTIVE_BASE_LIMIT = 12
-# Most supports one completion walk may test: the largest walk that
-# `exhaustive_graph` admits.
+# Most supports one walk may test: a completion walk, or the walk over every
+# subset of the base in `exhaustive_graph`.
 _COMPLETION_SUPPORT_LIMIT = 2**EXHAUSTIVE_BASE_LIMIT
 
 
@@ -217,7 +217,8 @@ def exhaustive_graph(
     base_c = list(dict.fromkeys(base))
     if len(base_c) > EXHAUSTIVE_BASE_LIMIT:
         raise ResourceLimitError(
-            f"{len(base_c)} belief-base formulas exceed the limit of {EXHAUSTIVE_BASE_LIMIT}"
+            f"{2 ** len(base_c)} supports over {len(base_c)} belief-base formulas exceed "
+            f"the limit of {_COMPLETION_SUPPORT_LIMIT}"
         )
     pool_c = list(dict.fromkeys(pool))
     args: list[StructuredArgument] = []

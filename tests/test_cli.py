@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from argent.cli import main
+from argent import Vocabulary, dalal_revise, models, parse_formula, variables
 from argent.prop import MAX_NESTING
 from conftest import DATA
 
@@ -70,6 +71,35 @@ def test_revise_formula_inconsistent_alpha(capsys):
     code, out = run(capsys, "revise-formula", "--phi", "a", "--alpha", "a & !a")
     assert code == 3
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["models", "c & (a | d) & !b", "--vocab", "c,d,b,a"],
+        ["models", "x1 & !x0 & (x3 | x2 | x10)", "--vocab", "x3,x10,x2,x1,x0,y"],
+        ["models", "a | b | c | d | e"],
+        ["models", "true", "--vocab", "b,a"],
+        ["models", "true", "--vocab", ""],
+        ["revise-formula", "--phi", "b & c & (a | d)", "--alpha", "c & !b & (d -> !a)",
+         "--vocab", "d,b,a,c"],
+        ["revise-formula", "--phi", PHI, "--alpha", "a & !b & c", "--vocab", "a,b,c,d"],
+    ],
+    ids=["models-units", "models-wide-units", "models-sorted", "models-true",
+         "models-empty-vocabulary", "revise-formula-units", "revise-formula-readme"],
+)
+def test_models_print_from_table_bits(capsys, argv):
+    # The printed models are those of the library calls, in both output modes.
+    if argv[0] == "models":
+        f = parse_formula(argv[1])
+        names = argv[3].split(",") if len(argv) > 2 and argv[3] else sorted(variables(f))
+        found = models(f, Vocabulary(tuple(names)))
+    else:
+        found = dalal_revise(parse_formula(argv[2]), parse_formula(argv[4]),
+                             Vocabulary(tuple(argv[6].split(","))))
+    assert run(capsys, *argv) == (0, "".join(f"{m}\n" for m in found))
+    structured = json.dumps({"models": [sorted(m.true_set) for m in found]}) + "\n"
+    assert run(capsys, *argv, "--emit-structured") == (0, structured)
 
 
 def test_stable_f1(capsys):

@@ -286,12 +286,15 @@ def _pigeonhole(pigeons, holes):
 
 
 def test_splitting_search_node_budget(monkeypatch):
-    # PHP(6,5) needs 651 split nodes over its 30 atoms.
+    # PHP(6,5) needs exactly 651 split nodes over its 30 atoms: the order of
+    # the conjunct lists and the split rule fix every node the search visits.
     from argent import prop
 
-    monkeypatch.setattr(prop, "SPLIT_NODE_LIMIT", 100)
-    with pytest.raises(ResourceLimitError, match=r"over 30 atoms exceeds the limit of 100 split"):
+    monkeypatch.setattr(prop, "SPLIT_NODE_LIMIT", 650)
+    with pytest.raises(ResourceLimitError, match=r"over 30 atoms exceeds the limit of 650 split"):
         is_consistent(_pigeonhole(6, 5))
+    monkeypatch.setattr(prop, "SPLIT_NODE_LIMIT", 651)
+    assert is_consistent(_pigeonhole(6, 5)) is False
 
 
 # Counts the `substitute` calls of one splitting search over 22 variables.
@@ -378,9 +381,33 @@ def test_interpretation_validates_true_set():
         Interpretation(v, frozenset({"c"}))
 
 
+def test_table_models_checks_names_once_per_table():
+    from argent.prop import table_models
+
+    v = Vocabulary.of("a", "b")
+    with pytest.raises(VocabularyMismatchError, match=r"\['c'\]"):
+        table_models(0b0001, v, ("a", "c"))
+    with pytest.raises(VocabularyMismatchError, match=r"\['c'\]"):
+        table_models(0b01, v, ("a",), ["c"])
+    assert table_models(0, v, ("a", "c"), ["c"]) == []
+
+
+@pytest.mark.parametrize(
+    "text", ["a & !b & c", "!a & (b | d)", "(a -> b) & c & !d", "a | b | c | d", "false", "true"]
+)
+def test_models_match_constructed_interpretations(text):
+    v = Vocabulary.of("d", "a", "c", "b")
+    found = models(p(text), v)
+    built = [Interpretation(v, m.true_set) for m in found]
+    assert found == built
+    assert list(map(hash, found)) == list(map(hash, built))
+    assert list(map(str, found)) == list(map(str, built))
+    assert all(type(m.true_set) is frozenset for m in found)
+
+
 def test_table_path_matches_splitting_search():
     # Every width up to ENUMERATION_LIMIT goes through the one table path.
-    from argent.prop import ENUMERATION_LIMIT, _flatten_conjuncts, _split_search, satisfiable
+    from argent.prop import ENUMERATION_LIMIT, _split_search, satisfiable
     from argent.prop import disj, variables
 
     rng = random.Random(2024)
@@ -393,8 +420,7 @@ def test_table_path_matches_splitting_search():
                 for _ in range(round(4.26 * width))
             ]
             assert len(set().union(*map(variables, clauses))) == width
-            flat = _flatten_conjuncts(clauses)
-            expected = flat is not None and (not flat or _split_search(flat))
+            expected = _split_search([(c, variables(c)) for c in clauses])
             assert satisfiable(clauses) == expected
             answers.add(expected)
     assert answers == {True, False}

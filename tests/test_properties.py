@@ -6,6 +6,7 @@ every assignment, and `dalal_revise` against its pairwise definition.
 
 from functools import reduce
 from itertools import product
+from unittest.mock import patch
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -28,6 +29,7 @@ from argent import (
     parse_formula,
     variables,
 )
+from argent import prop
 from argent.prop import satisfiable
 
 NAMES = [f"v{i}" for i in range(12)]
@@ -95,6 +97,21 @@ def test_entails_matches_brute_force(premises, claim):
     names = names_of(premises + [claim])
     expected = all(evaluate(claim, m) for m in brute_models(premises, names))
     assert entails(premises, claim) == expected
+
+
+EIGHT = NAMES[:8]
+
+
+@settings(max_examples=60)
+@given(st.lists(formulas(EIGHT, 10), min_size=1, max_size=3), literals(EIGHT))
+def test_splitting_search_matches_brute_force(fs, lits):
+    # With no table width allowed, every question with an atom goes to the search.
+    *premises, claim = fs
+    premises += lits
+    found = list(brute_models(premises, names_of(fs + lits)))
+    with patch.object(prop, "ENUMERATION_LIMIT", 0):
+        assert satisfiable(premises) == bool(found)
+        assert entails(premises, claim) == all(evaluate(claim, m) for m in found)
 
 
 @settings(max_examples=100)

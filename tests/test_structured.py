@@ -151,7 +151,8 @@ def test_exhaustive_graph_attacks_equal_defeater_closure():
 
 def test_exhaustive_graph_guard():
     base = [Var(f"v{i}a") for i in range(13)]
-    with pytest.raises(ResourceLimitError):
+    message = "8192 supports over 13 belief-base formulas exceed the limit of 4096"
+    with pytest.raises(ResourceLimitError, match=f"^{message}$"):
         exhaustive_graph(base, [p("a")])
 
 
