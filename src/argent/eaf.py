@@ -37,9 +37,10 @@ from .prop import (
     Not,
     TRUE,
     Var,
+    _Compiled,
+    _minimal_conflicts,
     conj,
     format_formula_set,
-    is_consistent,
     minimal_conflict_subsets,
     parse_formula,
 )
@@ -47,9 +48,9 @@ from .structured import (
     DEDUCTIVE,
     ENTHYMEME,
     StructuredArgument,
+    _defeat_test,
     check_max_added,
     completion_walk,
-    is_defeater,
 )
 
 
@@ -228,8 +229,13 @@ class AttackClassification:
 
 def classify_attacks(eaf: EnthymemeAF) -> AttackClassification:
     """Split declared attacks by whether both endpoints conflict within their
-    fixed parts (a witness inside the fixed part survives any recompletion)."""
+    fixed parts (a witness inside the fixed part survives any recompletion).
+    Every argument's content is compiled once, for all the conflict and
+    defeater tests."""
     amap = eaf.argument_map
+    contents = {a.id: a.content for a in eaf.arguments}
+    fixed = {a.id: set(fixed_part(a)) for a in eaf.arguments}
+    compiled = _Compiled([f for c in contents.values() for f in c])
     deductive = set(eaf.deductive_ids)
     certain: set[tuple[str, str]] = set()
     questionable: set[tuple[str, str]] = set()
@@ -237,8 +243,8 @@ def classify_attacks(eaf: EnthymemeAF) -> AttackClassification:
     notes: list[str] = []
     for xid, yid in sorted(eaf.declared_attacks, key=eaf.pair_key):
         x, y = amap[xid], amap[yid]
-        inv_x = involved_parts(x, y)
-        inv_y = involved_parts(y, x)
+        inv_x = _minimal_conflicts(contents[xid], contents[yid], compiled)
+        inv_y = _minimal_conflicts(contents[yid], contents[xid], compiled)
         if not inv_x and not inv_y:
             warnings.append(f"declared attack ({xid},{yid}) has no logical conflict")
             questionable.add((xid, yid))
@@ -246,7 +252,7 @@ def classify_attacks(eaf: EnthymemeAF) -> AttackClassification:
         witnesses = {}
         escapes = {}
         for arg, invs in ((x, inv_x), (y, inv_y)):
-            fix = set(fixed_part(arg))
+            fix = fixed[arg.id]
             witnesses[arg.id] = [s for s in invs if set(s) <= fix]
             escapes[arg.id] = [s for s in invs if not set(s) <= fix]
         if witnesses[xid] and witnesses[yid]:
@@ -261,9 +267,10 @@ def classify_attacks(eaf: EnthymemeAF) -> AttackClassification:
                     )
         else:
             questionable.add((xid, yid))
-    for x in eaf.arguments:
-        for y in eaf.arguments:
-            if (x.id, y.id) not in eaf.declared_attacks and is_defeater(x, y):
+    defeats = _defeat_test(compiled, eaf.arguments)
+    for i, x in enumerate(eaf.arguments):
+        for j, y in enumerate(eaf.arguments):
+            if (x.id, y.id) not in eaf.declared_attacks and defeats(i, j):
                 warnings.append(f"undeclared defeater ({x.id},{y.id})")
     return AttackClassification(
         certain=frozenset(certain),
@@ -371,11 +378,24 @@ def acceptable_afs(
     first, then smallest first, so the first witness found is minimal.  The
     witness maps only the enthymemes whose completion actually changed.
     Raises ValueError for a negative `max_added`.
+
+    The framework, `base` and `pool` are compiled once for the call; the
+    completion walks and every joint-consistency test share those tables.
     """
     check_max_added(max_added)
     amap = eaf.argument_map
     enth = set(eaf.enthymeme_ids)
-    candidates_of = cache(lambda aid: _witness_candidates(amap[aid], base, pool, max_added))
+    compiled = _Compiled(
+        [f for a in eaf.arguments for f in (*a.support, a.fixed_claim, a.full_claim)]
+        + [*base, *pool]
+    )
+    contents = {a.id: compiled.of(a.content) for a in eaf.arguments}
+    candidates_of = cache(
+        lambda aid: [
+            (c, compiled.of(c.content))
+            for c in _witness_candidates(amap[aid], base, pool, max_added, compiled)
+        ]
+    )
     results = []
     for entry in outcome.entries:
         changed = sorted(
@@ -393,7 +413,8 @@ def acceptable_afs(
             aid for aid in eaf.ids if aid in enth and any(aid in p for p in changed)
         ]
         candidates = {aid: candidates_of(aid) for aid in involved}
-        witness = _search_witness(involved, candidates, changed, entry.af.attacks, amap)
+        witness = _search_witness(involved, candidates, changed, entry.af.attacks, contents,
+                                  compiled)
         if witness is not None:
             changed_only = {
                 aid: c
@@ -403,7 +424,7 @@ def acceptable_afs(
             }
             results.append(AcceptabilityResult(entry, True, changed_only, None))
         else:
-            reason = _diagnose(changed, entry.af.attacks, amap, candidates, enth)
+            reason = _diagnose(changed, entry.af.attacks, amap, candidates, contents, compiled)
             results.append(AcceptabilityResult(entry, False, {}, reason))
     return results
 
@@ -413,37 +434,43 @@ def _witness_candidates(
     base: Sequence[Formula],
     pool: Sequence[Formula],
     max_added: int,
+    compiled: _Compiled | None = None,
 ) -> list[StructuredArgument]:
-    """`arg`, then its tight proper recompletions other than its current one."""
+    """`arg`, then its tight proper recompletions other than its current one,
+    walked on `compiled` when it is given (see :func:`completion_walk`)."""
     current = (arg.added_support, arg.full_claim)
     return [arg] + [
         StructuredArgument.enthymeme(arg.id, arg.fixed_support, arg.fixed_claim, added, claim)
-        for added, claim, tight in completion_walk(arg, base, pool, max_added)
+        for added, claim, tight in completion_walk(arg, base, pool, max_added, compiled=compiled)
         if tight and (added or claim != arg.fixed_claim) and (added, claim) != current
     ]
 
 
-def _search_witness(involved, candidates, changed, new_attacks, amap):
-    assignment: dict[str, StructuredArgument] = {}
+def _search_witness(involved, candidates, changed, new_attacks, contents, compiled):
+    """The first assignment of a candidate to each involved enthymeme under
+    which every changed pair is justified, or None.  `candidates` maps each
+    involved enthymeme to its (candidate, content state) pairs and
+    `contents` every argument to the state of its own content."""
+    assignment: dict[str, tuple[StructuredArgument, object]] = {}
 
-    def resolve(aid: str) -> StructuredArgument | None:
+    def state(aid: str):
         if aid in assignment:
-            return assignment[aid]
+            return assignment[aid][1]
         if aid in candidates:
             return None
-        return amap[aid]
+        return contents[aid]
 
     def pair_ok(pair) -> bool:
-        x = resolve(pair[0])
-        y = resolve(pair[1])
+        x = state(pair[0])
+        y = state(pair[1])
         if x is None or y is None:
             return True
-        consistent = is_consistent(list(x.content) + list(y.content))
+        consistent = compiled.consistent(compiled.meet(x, y))
         return not consistent if pair in new_attacks else consistent
 
     def rec(i: int):
         if i == len(involved):
-            return dict(assignment)
+            return {aid: cand for aid, (cand, _) in assignment.items()}
         aid = involved[i]
         for cand in candidates[aid]:
             assignment[aid] = cand
@@ -457,15 +484,14 @@ def _search_witness(involved, candidates, changed, new_attacks, amap):
     return rec(0)
 
 
-def _diagnose(changed, new_attacks, amap, candidates, enth) -> str:
+def _diagnose(changed, new_attacks, amap, candidates, contents, compiled) -> str:
     for pair in changed:
         if pair in new_attacks:
             continue
-        x, y = amap[pair[0]], amap[pair[1]]
-        fix_joint = list(fixed_part(x)) + list(fixed_part(y))
-        if not is_consistent(fix_joint):
-            conflict_x = minimal_conflict_subsets(fixed_part(x), fixed_part(y))
-            conflict_y = minimal_conflict_subsets(fixed_part(y), fixed_part(x))
+        fix_x, fix_y = fixed_part(amap[pair[0]]), fixed_part(amap[pair[1]])
+        if not compiled.consistent(compiled.of(fix_x + fix_y)):
+            conflict_x = _minimal_conflicts(fix_x, fix_y, compiled)
+            conflict_y = _minimal_conflicts(fix_y, fix_x, compiled)
             return (
                 f"attack ({pair[0]},{pair[1]}): removed, but the fixed parts alone "
                 f"conflict ({format_formula_set(conflict_x[0])} of {pair[0]} against "
@@ -475,20 +501,16 @@ def _diagnose(changed, new_attacks, amap, candidates, enth) -> str:
     for aid, cands in candidates.items():
         if len(cands) > 1:
             continue
-        only = cands[0]
+        only = cands[0][1]
         for pair in changed:
             if aid not in pair:
                 continue
             other_id = pair[1] if pair[0] == aid else pair[0]
             if other_id != aid and other_id in candidates:
                 continue
-            other = only if other_id == aid else amap[other_id]
-            joint = list(only.content) + list(other.content)
-            ok = (
-                not is_consistent(joint)
-                if pair in new_attacks
-                else is_consistent(joint)
-            )
+            other = only if other_id == aid else contents[other_id]
+            consistent = compiled.consistent(compiled.meet(only, other))
+            ok = not consistent if pair in new_attacks else consistent
             if not ok:
                 return (
                     f"attack ({pair[0]},{pair[1]}): cannot be justified; no proper "

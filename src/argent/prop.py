@@ -18,11 +18,19 @@ ANDs the tables of its conjuncts, built afresh over one atom order for each
 call; :func:`entails` goes through it; :func:`models` decodes the set
 bits of one table in canonical order, from the names of two precomputed
 halves of the atom order, and checks the names against the vocabulary once
-per table; :func:`subset_walk` compiles its formulas once and ANDs their
-tables.  Above ``ENUMERATION_LIMIT`` atoms :func:`satisfiable` falls back to
-unit propagation and splitting, which keeps each conjunct next to its
-variable set and substitutes only the conjuncts an assignment touches, and
-:func:`models` refuses.
+per table.  Above ``ENUMERATION_LIMIT`` atoms :func:`satisfiable` falls
+back to unit propagation and splitting, which keeps each conjunct next to
+its variable set and substitutes only the conjuncts an assignment touches,
+and :func:`models` refuses.
+
+A call that asks many questions of the same formulas compiles them once
+(:class:`_Compiled`): up to ``_CACHED_WIDTH`` atoms in all, each formula
+becomes one table over their sorted union, consistency is a non-zero AND and
+entailment an AND with no bit outside the claim's table; wider, each
+question is a :func:`satisfiable` call.  One compiled set serves a whole
+public call of the enthymeme pipeline: :func:`subset_walk` and
+:func:`minimal_conflict_subsets` here, and the defeats, completion walks and
+witness tests of ``structured`` and ``eaf``.
 """
 
 from __future__ import annotations
@@ -30,7 +38,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from operator import is_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -46,7 +53,7 @@ ENUMERATION_LIMIT = 20
 
 # Widest order whose atom columns are kept, one set per width (2^12 bits,
 # 512 bytes a column): wider columns would make the cache hold megabytes.  It
-# is also the widest walk that `subset_walk` runs on compiled tables.
+# is also the widest set of formulas that `_Compiled` answers on tables.
 _CACHED_WIDTH = 12
 
 # Deepest nesting the parser accepts (see FormulaParser); it keeps every
@@ -152,7 +159,7 @@ _IDENT_RE = re.compile(IDENT)
 _PUNCT = {"(": "lparen", ")": "rparen", "&": "and", "|": "or", "!": "not", ",": "comma"}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Token:
     kind: str
     text: str
@@ -912,8 +919,64 @@ def entails(formulas: Sequence[Formula], f: Formula) -> bool:
     return not satisfiable(list(formulas) + [neg(f)])
 
 
+class _Compiled:
+    """The formulas of one public call, compiled once; it owns the width
+    cut-over between truth tables and satisfiability calls.
+
+    Built from every formula the call will ask about.  When they span at
+    most _CACHED_WIDTH atoms, the state of a set of formulas is the AND of
+    their truth tables over the sorted union of those atoms: a state is
+    consistent when it is not 0, and entails another when it has no bit
+    outside it.  Each node's table is compiled once and kept by node
+    identity, next to the node itself so that the identity stays its own.
+    Wider, a state is the list of its formulas, tested with
+    :func:`is_consistent` and :func:`entails`.  Callers hold states and never
+    look inside them.  One object serves one call and is dropped with it.
+    """
+
+    __slots__ = ("_cols", "_full", "_memo")
+
+    def __init__(self, formulas: Iterable[Formula]):
+        names = frozenset().union(*map(variables, formulas))
+        self._cols = None
+        if len(names) <= _CACHED_WIDTH:
+            self._cols, self._full = atom_tables(tuple(sorted(names)))
+            self._memo: dict[int, tuple[Formula, int]] = {}
+
+    def of(self, formulas: Iterable[Formula]):
+        """The state of the conjunction of `formulas`."""
+        if self._cols is None:
+            return list(formulas)
+        memo = self._memo
+        t = self._full
+        for f in formulas:
+            hit = memo.get(id(f))
+            if hit is None:
+                hit = memo[id(f)] = (f, truth_table(f, self._cols, self._full))
+            t &= hit[1]
+        return t
+
+    def meet(self, a, b):
+        """The state of two states' formulas together."""
+        return a + b if self._cols is None else a & b
+
+    def consistent(self, state) -> bool:
+        return is_consistent(state) if self._cols is None else state != 0
+
+    def entails(self, state, claim) -> bool:
+        """Whether `state` entails every formula of the state `claim`."""
+        if self._cols is None:
+            return entails(state, conj(claim))
+        return (state & claim) == state
+
+
 def subset_walk(
-    fixed: Sequence[Formula], extra: Sequence[Formula], claims: Sequence[Formula], max_size: int
+    fixed: Sequence[Formula],
+    extra: Sequence[Formula],
+    claims: Sequence[Formula],
+    max_size: int,
+    *,
+    compiled: _Compiled | None = None,
 ) -> Iterator[tuple[tuple[Formula, ...], list[tuple[Formula, bool]] | None]]:
     """Walk the supports `fixed` + `chosen`, with up to `max_size` formulas
     chosen from `extra`, by size and then by position.  Yields
@@ -928,65 +991,63 @@ def subset_walk(
     with no satisfiability test, that a support with an inconsistent such
     subset is inconsistent (and passes over it) and that a claim one of them
     entails is entailed, but not minimally.  Only the previous level's
-    records are kept; the walk ends at a level with no consistent support.
+    records are kept, keyed by the bitmask of their chosen positions; the
+    walk ends at a level with no consistent support.
 
-    When `fixed`, `extra` and `claims` together have at most _CACHED_WIDTH
-    atoms, each formula is compiled once into a truth table over their sorted
-    union, and each record keeps its support's table: a support's table is
-    that of its leave-one-out subset without the last chosen formula, ANDed
-    with the table of that formula.  The support is consistent iff its table
-    is not 0, and entails a claim iff it has no bit outside the claim's
-    table, so the walk makes no :func:`satisfiable` call.  Wider inputs are
-    tested with :func:`is_consistent` and :func:`entails`.
+    Each support is tested on the states of `compiled` (see
+    :class:`_Compiled`), built from `fixed`, `extra` and `claims` when not
+    given: a support's state is that of its leave-one-out subset without
+    the last chosen formula, met with the state of that formula.  Up to
+    _CACHED_WIDTH atoms that is one AND of compiled truth tables, and the
+    walk makes no :func:`satisfiable` call.
     """
-    start, extend, consistent, proves = _support_tests(fixed, extra, claims)
-    # consistent subset -> (bitmask of the claims it entails, its support's state)
-    below_level: dict[tuple[int, ...], tuple[int, object]] = {}
-    for r in range(min(max_size, len(extra)) + 1):
-        level: dict[tuple[int, ...], tuple[int, object]] = {}
-        for combo in combinations(range(len(extra)), r):
-            below = 0
-            for i in range(r):
-                record = below_level.get(combo[:i] + combo[i + 1:])
-                if record is None:  # that subset is inconsistent, so this one is too
-                    break
-                below |= record[0]
-            else:
-                chosen = tuple(extra[i] for i in combo)
-                # the last record read is that of combo[:-1]
-                state = extend(record[1], combo[-1]) if r else start
-                if not consistent(state):
-                    yield chosen, None
-                    continue
-                hits = [j for j in range(len(claims)) if below >> j & 1 or proves(state, j)]
-                level[combo] = (sum(1 << j for j in hits), state)
-                yield chosen, [(claims[j], not below >> j & 1) for j in hits]
+    if compiled is None:
+        compiled = _Compiled([*fixed, *extra, *claims])
+    consistent, proves = compiled.consistent, compiled.entails
+    adds = [(f, compiled.of((f,))) for f in extra]
+    targets = [compiled.of((c,)) for c in claims]
+    # level 0 is the support `fixed` alone
+    candidates = [(0, 0, compiled.of(fixed), (), ())]
+    for _ in range(min(max_size, len(extra)) + 1):
+        # consistent support's positions as a bitmask -> (bitmask of the
+        # claims it entails, its state, its positions, its chosen formulas)
+        level: dict[int, tuple] = {}
+        for key, below, state, combo, chosen in candidates:
+            if not consistent(state):
+                yield chosen, None
+                continue
+            entailed = below
+            for j, target in enumerate(targets):
+                if not below >> j & 1 and proves(state, target):
+                    entailed |= 1 << j
+            level[key] = (entailed, state, combo, chosen)
+            yield chosen, [
+                (claim, not below >> j & 1)
+                for j, claim in enumerate(claims)
+                if entailed >> j & 1
+            ]
         if not level:
             return
-        below_level = level
+        candidates = _next_level(level, adds, compiled.meet)
 
 
-def _support_tests(fixed, extra, claims):
-    """How :func:`subset_walk` tests its supports: the state of the support
-    `fixed`, the state after adding ``extra[i]`` to a support, whether a
-    state is consistent, and whether it entails ``claims[j]``.  A state is
-    the support's truth table when all the formulas fit in _CACHED_WIDTH
-    atoms, and the support itself otherwise."""
-    names = frozenset().union(*map(variables, [*fixed, *extra, *claims]))
-    if len(names) > _CACHED_WIDTH:
-        return (
-            list(fixed),
-            lambda support, i: support + [extra[i]],
-            is_consistent,
-            lambda support, j: entails(support, claims[j]),
-        )
-    cols, full = atom_tables(tuple(sorted(names)))
-    start = full
-    for f in fixed:
-        start &= truth_table(f, cols, full)
-    tables = [truth_table(f, cols, full) for f in extra]
-    countermodels = [full ^ truth_table(c, cols, full) for c in claims]
-    return start, lambda t, i: t & tables[i], bool, lambda t, j: not t & countermodels[j]
+def _next_level(level, adds, meet):
+    """The supports one formula larger than those of `level` all of whose
+    leave-one-out subsets are in it, by position, as ``(key, bitmask of the
+    claims those subsets entail, state, positions, chosen formulas)``.  Each
+    extends the record of its subset without its last position."""
+    for prefix, (below, state, combo, chosen) in level.items():
+        for i in range(prefix.bit_length(), len(adds)):
+            key = prefix | 1 << i
+            entailed = below
+            for j in combo:
+                record = level.get(key ^ 1 << j)
+                if record is None:  # that subset is inconsistent, so this one is too
+                    break
+                entailed |= record[0]
+            else:
+                f, add = adds[i]
+                yield key, entailed, meet(state, add), combo + (i,), chosen + (f,)
 
 
 def minimal_conflict_subsets(
@@ -998,17 +1059,28 @@ def minimal_conflict_subsets(
     are listed by size, then lexicographically by candidate position: they
     are the minimally inconsistent supports of :func:`subset_walk` over the
     context.  If `context` alone is inconsistent the empty set is the unique
-    answer.
+    answer.  More than CONFLICT_CANDIDATE_LIMIT candidates trip the resource
+    guard.
     """
-    cand = list(dict.fromkeys(candidates))
-    if len(cand) > CONFLICT_CANDIDATE_LIMIT:
+    return _minimal_conflicts(list(dict.fromkeys(candidates)), list(context))
+
+
+def _minimal_conflicts(candidates, context, compiled: _Compiled | None = None):
+    """:func:`minimal_conflict_subsets` of distinct `candidates`, tested on
+    `compiled` when it is given; it must have been built from every
+    candidate and context formula."""
+    if len(candidates) > CONFLICT_CANDIDATE_LIMIT:
         raise ResourceLimitError(
-            f"{len(cand)} candidate formulas exceed the limit of {CONFLICT_CANDIDATE_LIMIT}"
+            f"{2 ** len(candidates)} supports over {len(candidates)} candidate formulas "
+            f"exceed the limit of {2 ** CONFLICT_CANDIDATE_LIMIT}"
         )
-    ctx = list(context)
-    if satisfiable(cand + ctx):
+    joint = [*candidates, *context]
+    if compiled is None:
+        compiled = _Compiled(joint)
+    if compiled.consistent(compiled.of(joint)):
         return []
-    return [chosen for chosen, hits in subset_walk(ctx, cand, (), len(cand)) if hits is None]
+    walk = subset_walk(context, candidates, (), len(candidates), compiled=compiled)
+    return [chosen for chosen, hits in walk if hits is None]
 
 
 def format_formula_set(formulas: Iterable[Formula]) -> str:

@@ -6,7 +6,10 @@ and a possibly strengthened full claim.  The conflict-relevant content of an
 argument is its whole support together with its full claim.
 
 Building a base's arguments and completing an enthymeme read the consistent
-supports of one search, :func:`argent.prop.subset_walk`.
+supports of one search, :func:`argent.prop.subset_walk`.  Each call compiles
+its formulas once (:class:`argent.prop._Compiled`): the walk, the defeats
+between the arguments it builds and the claim filter of a completion share
+those truth tables.
 
 Certainty values are exact rationals so threshold comparisons never suffer
 float noise.
@@ -24,6 +27,7 @@ from .errors import ParseError, ResourceLimitError
 from .prop import (
     Formula,
     ID_PATTERN,
+    _Compiled,
     entails,
     format_formula,
     is_consistent,
@@ -71,13 +75,19 @@ class StructuredArgument:
                 raise ValueError(f"{self.id}: deductive arguments have no added support")
             if self.full_claim != self.fixed_claim:
                 raise ValueError(f"{self.id}: deductive arguments have a single claim")
-        if self.full_claim != self.fixed_claim and not entails([self.full_claim], self.fixed_claim):
+        strengthened = self.full_claim != self.fixed_claim
+        completed = self.kind == ENTHYMEME and self.is_completed
+        if not (strengthened or completed):
+            return
+        compiled = _Compiled([*self.support, self.full_claim, self.fixed_claim])
+        claim = compiled.of((self.full_claim,))
+        if strengthened and not compiled.entails(claim, compiled.of((self.fixed_claim,))):
             raise ValueError(f"{self.id}: full claim does not entail the fixed claim")
-        if self.kind == ENTHYMEME and self.is_completed:
-            support = list(self.support)
-            if not is_consistent(support):
+        if completed:
+            support = compiled.of(self.support)
+            if not compiled.consistent(support):
                 raise ValueError(f"{self.id}: completed support is inconsistent")
-            if not entails(support, self.full_claim):
+            if not compiled.entails(support, claim):
                 raise ValueError(f"{self.id}: completed support does not entail the claim")
 
     @classmethod
@@ -205,6 +215,15 @@ def is_defeater(attacker: StructuredArgument, target: StructuredArgument) -> boo
     return not is_consistent([attacker.full_claim, *target.support])
 
 
+def _defeat_test(compiled: _Compiled, args: Sequence[StructuredArgument]):
+    """:func:`is_defeater` for positions in `args`, tested on `compiled` (built
+    from every support and full claim of `args`) with each argument's claim
+    and support state built once."""
+    claims = [compiled.of((a.full_claim,)) for a in args]
+    supports = [compiled.of(a.support) for a in args]
+    return lambda i, j: not compiled.consistent(compiled.meet(claims[i], supports[j]))
+
+
 def exhaustive_graph(
     base: BeliefBase, pool: ClaimPool
 ) -> tuple[ArgumentationFramework, dict[str, StructuredArgument]]:
@@ -221,13 +240,15 @@ def exhaustive_graph(
             f"the limit of {_COMPLETION_SUPPORT_LIMIT}"
         )
     pool_c = list(dict.fromkeys(pool))
+    compiled = _Compiled([*base_c, *pool_c])
     args: list[StructuredArgument] = []
-    for support, hits in subset_walk([], base_c, pool_c, len(base_c)):
+    for support, hits in subset_walk([], base_c, pool_c, len(base_c), compiled=compiled):
         for claim, minimal in hits or ():
             if minimal:
                 args.append(StructuredArgument.deductive(f"a{len(args) + 1}", support, claim))
+    defeats = _defeat_test(compiled, args)
     attacks = frozenset(
-        (x.id, y.id) for x in args for y in args if is_defeater(x, y)
+        (x.id, y.id) for i, x in enumerate(args) for j, y in enumerate(args) if defeats(i, j)
     )
     af = ArgumentationFramework(tuple(a.id for a in args), attacks)
     return af, {a.id: a for a in args}
@@ -290,10 +311,19 @@ def check_max_added(max_added: int) -> None:
         raise ValueError(f"max_added must be non-negative, got {max_added}")
 
 
-def completion_walk(e: StructuredArgument, base: BeliefBase, pool: ClaimPool, max_added: int):
+def completion_walk(
+    e: StructuredArgument,
+    base: BeliefBase,
+    pool: ClaimPool,
+    max_added: int,
+    *,
+    compiled: _Compiled | None = None,
+):
     """(added support, full claim, tight) for each completion of `e`, in the
     order of :func:`complete_enthymeme`; `tight` says that no added formula
-    can be dropped (see :func:`added_support_is_tight`).
+    can be dropped (see :func:`added_support_is_tight`).  Supports and claims
+    are tested on `compiled` (see :func:`argent.prop.subset_walk`), built from
+    `e`'s transmitted pair, `base` and `pool` when not given.
 
     Raises ValueError for a negative `max_added`, and ResourceLimitError,
     before any support is tested, when the walk could test more than
@@ -306,10 +336,13 @@ def completion_walk(e: StructuredArgument, base: BeliefBase, pool: ClaimPool, ma
         raise ResourceLimitError(
             f"{supports} supports for {e.id} exceed the limit of {_COMPLETION_SUPPORT_LIMIT}"
         )
-    claims = [
-        beta for beta in dict.fromkeys([*pool, e.fixed_claim]) if entails([beta], e.fixed_claim)
-    ]
-    for added, hits in subset_walk(e.fixed_support, base_c, claims, max_added):
+    pool_c = list(dict.fromkeys([*pool, e.fixed_claim]))
+    if compiled is None:
+        compiled = _Compiled([*e.fixed_support, *base_c, *pool_c])
+    target = compiled.of((e.fixed_claim,))
+    claims = [beta for beta in pool_c if compiled.entails(compiled.of((beta,)), target)]
+    walk = subset_walk(e.fixed_support, base_c, claims, max_added, compiled=compiled)
+    for added, hits in walk:
         for claim, tight in hits or ():
             yield added, claim, tight
 

@@ -5,7 +5,9 @@
 plain subset enumeration with `is_consistent` and `entails`, the
 acceptability witness candidates against their definition through
 `complete_enthymeme`, and `revise_af` against the set-based
-`oracle_revision_solutions`.
+`oracle_revision_solutions`.  `classify_attacks`, `exhaustive_graph` and
+`acceptable_afs` on compiled truth tables are checked against the same calls
+made with every test an `is_consistent` or `entails` call.
 """
 
 from itertools import combinations
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import argent.prop as prop
 from argent import (
     ATT_ONLY,
     ATT_WEIGHTED,
@@ -21,28 +24,35 @@ from argent import (
     ArgumentationFramework,
     AttAccVocabulary,
     DALAL,
+    EnthymemeAF,
     FALSE,
     Iff,
     Implies,
     Not,
     Or,
+    RevisionEntry,
+    RevisionOutcome,
     StructuredArgument,
     TRUE,
     UnknownArgumentError,
     Var,
+    acceptable_afs,
     added_support_is_tight,
+    classify_attacks,
     complete_enthymeme,
     entails,
     evaluate,
     exhaustive_graph,
     is_consistent,
     minimal_conflict_subsets,
+    parse_eaf,
+    parse_formula_lines,
     parse_goal,
     revise_af,
 )
 from argent.eaf import _witness_candidates
 from argent.prop import _CACHED_WIDTH, neg, subset_walk
-from conftest import oracle_acceptance, oracle_revision_solutions
+from conftest import DATA, oracle_acceptance, oracle_revision_solutions
 
 # ---------------------------------------------------------------------------
 # Argument construction
@@ -284,6 +294,92 @@ def test_witness_candidates_match_definition(fixed, claim, base_pool, max_added,
     arg = current[pick % len(current)]
     expected = oracle_witness_candidates(arg, base, pool, max_added)
     assert _witness_candidates(arg, base, pool, max_added) == expected
+
+
+# ---------------------------------------------------------------------------
+# Compiled truth tables against satisfiability calls
+# ---------------------------------------------------------------------------
+
+def flipped_outcome(eaf, flips):
+    """A revision outcome with one entry per set of pairs in `flips`: the
+    declared framework with those attacks toggled (acceptable_afs reads only
+    the frameworks)."""
+    entries = []
+    for pairs in flips:
+        attacks = eaf.declared_attacks ^ frozenset(pairs)
+        entries.append(RevisionEntry(
+            ArgumentationFramework(eaf.ids, attacks), frozenset(), False,
+            attacks - eaf.declared_attacks, eaf.declared_attacks - attacks, frozenset(),
+            len(pairs),
+        ))
+    return RevisionOutcome(tuple(entries))
+
+
+def assert_tables_match_wide_path(eaf, base, pool, flips, max_added):
+    """classify_attacks, exhaustive_graph and acceptable_afs answer the same
+    on compiled tables as with _CACHED_WIDTH at 0, where every test is an
+    is_consistent or entails call."""
+    outcome = flipped_outcome(eaf, flips)
+
+    def run():
+        return (
+            classify_attacks(eaf),
+            exhaustive_graph(base, pool),
+            acceptable_afs(eaf, outcome, base, pool, max_added),
+        )
+
+    on_tables = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(prop, "_CACHED_WIDTH", 0)
+        assert run() == on_tables
+
+
+@pytest.mark.parametrize("name", ["f3", "f6", "media_a1", "media_a2", "media_a3"])
+@pytest.mark.parametrize("beliefs", ["completion", "rebuttal"])
+def test_tables_match_wide_path_on_data(name, beliefs):
+    eaf = parse_eaf((DATA / f"{name}.eaf").read_text())
+    base = parse_formula_lines((DATA / f"beliefs_{beliefs}.txt").read_text())
+    pool = parse_formula_lines((DATA / f"claims_{beliefs}.txt").read_text())
+    flips = [[(x, y)] for x in eaf.ids for y in eaf.ids]
+    assert_tables_match_wide_path(eaf, base, pool, flips, 3)
+
+
+EAF_ATOMS = ATOMS + ("u",)
+
+
+@st.composite
+def enthymeme_frameworks(draw):
+    """Up to 6 arguments over up to 6 atoms, about half of them enthymemes
+    with a transmitted claim that is often `true`, completed when the drawn
+    completion is valid; declared attacks, a belief base, a claim pool and
+    single-pair flips for the revision entries."""
+    atoms = EAF_ATOMS[: draw(st.integers(1, 6))]
+    formula = formulas(atoms)
+    args = []
+    for i in range(draw(st.integers(1, 6))):
+        support = draw(st.lists(formula, max_size=2))
+        if draw(st.booleans()):
+            args.append(StructuredArgument.deductive(f"a{i}", support, draw(formula)))
+            continue
+        claim = draw(st.one_of(st.just(TRUE), formula))
+        added = draw(st.lists(formula, max_size=2))
+        full = draw(st.one_of(st.none(), st.sampled_from(support + added + [claim])))
+        try:
+            args.append(StructuredArgument.enthymeme(f"a{i}", support, claim, added, full))
+        except ValueError:
+            args.append(StructuredArgument.enthymeme(f"a{i}", support, claim))
+    ids = [a.id for a in args]
+    pair = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+    eaf = EnthymemeAF(tuple(args), frozenset(draw(st.sets(pair, max_size=len(ids) + 2))))
+    flips = draw(st.lists(pair.map(lambda p: [p]), max_size=3))
+    return eaf, draw(st.lists(formula, max_size=4)), draw(st.lists(formula, max_size=2)), flips
+
+
+@settings(max_examples=40)
+@given(enthymeme_frameworks(), st.integers(0, 2))
+def test_tables_match_wide_path(case, max_added):
+    eaf, base, pool, flips = case
+    assert_tables_match_wide_path(eaf, base, pool, flips, max_added)
 
 
 # ---------------------------------------------------------------------------

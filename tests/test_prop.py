@@ -364,7 +364,8 @@ def test_models_width_guard():
 
 def test_minimal_conflicts_resource_guard():
     many = [Var(f"v{i}a") for i in range(17)]
-    with pytest.raises(ResourceLimitError):
+    message = "131072 supports over 17 candidate formulas exceed the limit of 65536"
+    with pytest.raises(ResourceLimitError, match=f"^{message}$"):
         minimal_conflict_subsets(many, [])
 
 

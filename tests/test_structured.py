@@ -9,6 +9,7 @@ import pytest
 
 import argent.prop as prop
 from argent import (
+    ATT_ONLY,
     And,
     CertaintyMap,
     Not,
@@ -16,8 +17,11 @@ from argent import (
     StructuredArgument,
     TRUE,
     Var,
+    acceptable_afs,
     added_support_is_tight,
+    classify_attacks,
     complete_enthymeme,
+    constraint_certain,
     entails,
     exhaustive_graph,
     is_consistent,
@@ -27,6 +31,7 @@ from argent import (
     minimal_conflict_subsets,
     parse_formula,
     parse_formula_lines,
+    revise_eaf,
     validate_deductive,
 )
 from argent.prop import conj, neg
@@ -156,15 +161,16 @@ def test_exhaustive_graph_guard():
         exhaustive_graph(base, [p("a")])
 
 
-def walk_satisfiable_calls(monkeypatch, run):
-    """The `prop.satisfiable` calls made inside `prop.subset_walk` by `run()`."""
-    walk = prop.subset_walk.__code__
+def walk_satisfiable_calls(monkeypatch, run, within=prop.subset_walk.__code__):
+    """The `prop.satisfiable` calls made by `run()` inside the frames of the
+    code object `within` (by default `prop.subset_walk`), or anywhere when
+    `within` is None."""
     original = prop.satisfiable
     inside = []
 
     def counting(formulas):
         frame = sys._getframe(1)
-        while frame is not None and frame.f_code is not walk:
+        while within is not None and frame is not None and frame.f_code is not within:
             frame = frame.f_back
         if frame is not None:
             inside.append(formulas)
@@ -193,6 +199,25 @@ def test_subset_walk_proves_supports_on_tables(f3, monkeypatch):
     assert all(found)
     wide = [p(" | ".join(f"v{i}" for i in range(13))), p("!v0")]
     assert walk_satisfiable_calls(monkeypatch, lambda: exhaustive_graph(wide, [p("!v0")]))
+
+
+def test_enthymeme_calls_prove_on_tables(f3, monkeypatch):
+    # Each public call of the enthymeme pipeline compiles its formulas once;
+    # on inputs within 12 atoms only the revision that acceptable_afs reads
+    # calls satisfiable.
+    base = parse_formula_lines((DATA / "beliefs_completion.txt").read_text())
+    pool = parse_formula_lines((DATA / "claims_completion.txt").read_text())
+    outcome = revise_eaf(f3, "acc(e1)", "deductive", ATT_ONLY)
+    found = []
+
+    def run():
+        found.append(classify_attacks(f3))
+        found.append(constraint_certain(f3))
+        found.append(exhaustive_graph(base, pool))
+        found.append(acceptable_afs(f3, outcome, base, pool))
+
+    assert walk_satisfiable_calls(monkeypatch, run, within=None) == []
+    assert all(found)
 
 
 def test_completion_walk_guard_fires_before_any_support(monkeypatch):
