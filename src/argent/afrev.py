@@ -13,15 +13,20 @@ attacks.  Three distance modes are supported:
 
 With uniform weights the scan keeps going until no deeper level can beat the
 best total found, so the returned set is exactly the distance-minimal one.
+
+One kernel run covers the original framework, which gives the acceptance
+that acc flips are counted against, together with levels 0 and 1.  Per chunk
+of candidates the acc-flip counts are summed bit-sliced, and only the
+chunk's lightest passing candidates are decoded.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from math import comb
 from typing import Iterable
 
-from . import kernels
 from .af import (
     ArgumentationFramework,
     _guard_size,
@@ -31,8 +36,6 @@ from .af import (
 )
 from .encoding import (
     AttAccVocabulary,
-    _vocabulary_of,
-    attacker_masks_from,
     pin_att_units,
     scan_candidates,
 )
@@ -140,16 +143,20 @@ def revise_af(
     a chunk of candidates at a time (see :func:`encoding.scan_candidates`).
     Each candidate's acc assignment is forced by the attacks, so a level-k scan
     is complete for every model with k free flips; the scan stops once no
-    deeper level can reach the best total weight.  When `require_extension` is
-    set, candidates without a stable extension are excluded, which keeps the
-    degenerate all-accepted models out of the result.
+    deeper level can reach the best total weight.  The first chunk also holds
+    the original framework, whose acceptance is read from it; levels 0 and 1
+    share that kernel run.  Each chunk's acc-flip counts are added into bit
+    planes, and only the passing candidates with the chunk's fewest acc flips
+    are decoded, and kept when they tie or beat the best total so far.  When
+    `require_extension` is set, candidates without a stable extension are
+    excluded, which keeps the degenerate all-accepted models out of the result.
 
     An empty outcome (never an exception) means no admissible model exists.
     """
     _guard_size(af)
     n = len(af.arguments)
     w_att, w_acc = mode_weights(mode, n)
-    enc = _vocabulary_of(af.arguments)
+    enc = AttAccVocabulary(af.arguments)
     constraint = TRUE if constraint is None else constraint
     combined = And((goal, constraint)) if constraint != TRUE else goal
     foreign = variables(combined) - enc.vocabulary.name_set
@@ -168,42 +175,66 @@ def revise_af(
     start = base_att & ~pinned | value
     baseline = bin(start ^ base_att).count("1")
 
-    acc0_mask, _ = kernels.acceptance_mask(attacker_masks_from(base_att, n), n)
+    # Levels 0 and 1 share one candidate stream, and so one kernel run for
+    # any chunk size of at least their count.  The stream opens with the
+    # original framework, which gives acc0: the level-0 candidate when no pin
+    # changes it, else the pinned flips back from `start`, which break the
+    # pins and so never pass.  A level is a range of the stream's candidates
+    # with one att weight: (begin, end, att weight).
+    first: list[tuple[int, ...]] = []
+    first_levels = []
+    if baseline:
+        first.append(_positions(start ^ base_att, n * n))
+        first_levels.append((0, 1, 0))
+    first_levels.append((len(first), len(first) + 1, w_att * baseline))
+    first_levels.append((len(first) + 1, len(first) + 1 + len(free), w_att * (baseline + 1)))
+    first += [()] + [(p,) for p in free]
+    batches = chain(
+        [(first, first_levels)],
+        (
+            (combinations(free, k), [(0, comb(len(free), k), w_att * (baseline + k))])
+            for k in range(2, len(free) + 1)
+        ),
+    )
 
-    hits: list[tuple[int, tuple[int, ...], int, bool]] = []
+    acc0_mask = None
+    hits: list[tuple[tuple[int, ...], int, bool]] = []
     best: int | None = None
-    for k in range(len(free) + 1):
-        att_weight = w_att * (baseline + k)
-        if best is not None and att_weight > best:
+    for flip_sets, levels in batches:
+        if best is not None and levels[0][2] > best:
             break
-        for chunk, acc_cols, vacuous, sat in scan_candidates(
-            enc, start, combinations(free, k), combined
-        ):
+        offset = 0
+        for chunk, acc_cols, vacuous, sat in scan_candidates(enc, start, flip_sets, combined):
+            size = len(chunk)
+            if acc0_mask is None:
+                acc0_mask = sum(1 << i for i, col in enumerate(acc_cols) if col & 1)
             if require_extension:
                 sat &= ~vacuous
-            while sat:
-                low = sat & -sat
-                sat ^= low
-                c = low.bit_length() - 1
-                acc_mask = 0
-                for i, col in enumerate(acc_cols):
-                    if col & low:
-                        acc_mask |= 1 << i
-                total = att_weight + w_acc * bin(acc_mask ^ acc0_mask).count("1")
+            planes = None
+            for begin, end, att_weight in levels:
+                lo, hi = max(begin - offset, 0), min(end - offset, size)
+                passing = sat & (1 << hi) - (1 << lo) if lo < hi else 0
+                if not passing or best is not None and att_weight > best:
+                    continue
+                flips = 0
+                if w_acc:
+                    if planes is None:
+                        planes = _flip_planes(acc_cols, acc0_mask, (1 << size) - 1)
+                    flips, passing = _lightest(planes, passing)
+                total = att_weight + w_acc * flips
                 if best is None or total < best:
-                    best = total
+                    best, hits = total, []
                 if total == best:
-                    hits.append((total, chunk[c], acc_mask, bool(vacuous & low)))
+                    hits += _decode(passing, chunk, acc_cols, vacuous)
+            offset += size
     if best is None:
         return RevisionOutcome(())
     kept = []
-    for total, combo, acc_mask, vacuous in hits:
-        if total == best:
-            att = start
-            for p in combo:
-                att ^= 1 << p
-            flip_positions = tuple(p for p in range(n * n) if (att ^ base_att) >> p & 1)
-            kept.append((flip_positions, att, acc_mask, vacuous))
+    for combo, acc_mask, vacuous in hits:
+        att = start
+        for p in combo:
+            att ^= 1 << p
+        kept.append((_positions(att ^ base_att, n * n), att, acc_mask, vacuous))
     kept.sort(key=lambda h: h[0])
     entries = []
     for _, att, acc_mask, vacuous in kept:
@@ -224,6 +255,57 @@ def revise_af(
             )
         )
     return RevisionOutcome(tuple(entries))
+
+
+def _positions(mask: int, width: int) -> tuple[int, ...]:
+    """The set bits of `mask` below `width`, ascending."""
+    return tuple(p for p in range(width) if mask >> p & 1)
+
+
+def _flip_planes(acc_cols: list[int], acc0: int, full: int) -> list[int]:
+    """Each candidate's count of acc flips from `acc0`, bit-sliced: bit c of
+    plane j is bit j of candidate c's count.  The n difference columns are
+    added into the planes with a ripple of half adders (sideways addition,
+    Knuth, TAOCP 4A, 7.1.3)."""
+    planes: list[int] = []
+    for i, col in enumerate(acc_cols):
+        carry = col ^ full if acc0 >> i & 1 else col
+        for j, plane in enumerate(planes):
+            planes[j] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+        else:
+            if carry:
+                planes.append(carry)
+    return planes
+
+
+def _lightest(planes: list[int], column: int) -> tuple[int, int]:
+    """The lowest count among the candidates of `column` and the column of
+    candidates with it, read from the planes top bit first."""
+    count = 0
+    for j in range(len(planes) - 1, -1, -1):
+        low = column & ~planes[j]
+        if low:
+            column = low
+        else:
+            count |= 1 << j
+    return count, column
+
+
+def _decode(column: int, chunk, acc_cols: list[int], vacuous: int):
+    """(flip set, acc mask, vacuous) of each candidate of `column`."""
+    found = []
+    while column:
+        low = column & -column
+        column ^= low
+        acc_mask = 0
+        for i, col in enumerate(acc_cols):
+            if col & low:
+                acc_mask |= 1 << i
+        found.append((chunk[low.bit_length() - 1], acc_mask, bool(vacuous & low)))
+    return found
 
 
 def format_outcome(outcome: RevisionOutcome) -> str:

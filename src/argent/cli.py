@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -24,7 +23,7 @@ from .af import (
     stable_extensions,
 )
 from .afrev import MODES, RevisionOutcome, format_outcome, outcome_to_dict, parse_goal, revise_af
-from .encoding import _vocabulary_of
+from .encoding import AttAccVocabulary
 from .errors import ArgentError, ResourceLimitError
 from .prop import (
     Vocabulary,
@@ -36,7 +35,13 @@ from .prop import (
     variables,
 )
 from .revision import _dalal_table
-from .structured import CertaintyMap, StructuredArgument, exhaustive_graph, make_enthymeme
+from .structured import (
+    CertaintyMap,
+    StructuredArgument,
+    exhaustive_graph,
+    make_enthymeme,
+    parse_rational,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -127,7 +132,7 @@ def _print_outcome(outcome: RevisionOutcome, emit_structured: bool) -> int:
 
 def cmd_revise_af(ns) -> int:
     af = parse_af(Path(ns.af).read_text())
-    enc = _vocabulary_of(af.arguments)
+    enc = AttAccVocabulary(af.arguments)
     goal = parse_goal(ns.goal, enc)
     constraint = parse_goal(ns.constraint, enc) if ns.constraint else None
     outcome = revise_af(
@@ -256,7 +261,7 @@ def cmd_args(ns) -> int:
         CertaintyMap.parse(Path(ns.certainty).read_text()) if ns.certainty else CertaintyMap()
     )
     arg = StructuredArgument.deductive("a1", support, claim)
-    enth = make_enthymeme(arg, certainty, Fraction(ns.tau))
+    enth = make_enthymeme(arg, certainty, parse_rational(ns.tau))
     if ns.emit_structured:
         print(
             json.dumps(

@@ -29,7 +29,7 @@ from typing import Sequence
 
 from .af import ATT_STMT, ArgumentationFramework, line_col, strip_comments
 from .afrev import ATT_ONLY, RevisionEntry, RevisionOutcome, parse_goal, revise_af
-from .encoding import _vocabulary_of
+from .encoding import AttAccVocabulary
 from .errors import ParseError, UnknownArgumentError
 from .prop import (
     IDENT,
@@ -289,7 +289,7 @@ def classify_attacks(eaf: EnthymemeAF) -> AttackClassification:
 
 def constraint_deductive(eaf: EnthymemeAF) -> Formula:
     """Freeze every attack and non-attack between deductive arguments."""
-    enc = _vocabulary_of(eaf.ids)
+    enc = AttAccVocabulary(eaf.ids)
     deductive = eaf.deductive_ids
     parts: list[Formula] = []
     negatives: list[Formula] = []
@@ -307,7 +307,7 @@ def constraint_certain(eaf: EnthymemeAF) -> Formula:
     """Freeze every certain attack; forbid non-core attacks between deductive
     arguments.  Negative literals cover only deductive pairs."""
     cls = classify_attacks(eaf)
-    enc = _vocabulary_of(eaf.ids)
+    enc = AttAccVocabulary(eaf.ids)
     deductive = eaf.deductive_ids
     positives = [
         Var(enc.att_var(x, y))
@@ -331,7 +331,7 @@ def revise_eaf(
 ) -> RevisionOutcome:
     """Revise the projected plain framework under the chosen integrity constraint."""
     af = eaf.to_af()
-    enc = _vocabulary_of(af.arguments)
+    enc = AttAccVocabulary(af.arguments)
     goal_f = parse_goal(goal, enc) if isinstance(goal, str) else goal
     if constraint_mode == "deductive":
         constraint = constraint_deductive(eaf)

@@ -47,23 +47,41 @@ FREE_ATT_LIMIT = 25
 _CHUNK = 256  # candidates per kernel call, which bounds the columns' size
 
 
+@lru_cache(maxsize=32)
+def _layout(arguments: tuple[str, ...]):
+    """Pairs, names, Vocabulary and name indexes of the att/acc space over
+    `arguments`, built and checked once per argument tuple and shared by
+    every AttAccVocabulary over it (none of them is ever mutated)."""
+    pairs = tuple((x, y) for x in arguments for y in arguments)
+    att_names = tuple(f"att_{x}_{y}" for x, y in pairs)
+    acc_names = tuple(f"acc_{x}" for x in arguments)
+    names = att_names + acc_names
+    if len(set(names)) != len(names):
+        raise ValueError("att/acc variable names collide for these argument identifiers")
+    return (
+        pairs,
+        att_names,
+        acc_names,
+        Vocabulary(names),
+        {name: p for p, name in enumerate(att_names)},
+        {name: i for i, name in enumerate(acc_names)},
+    )
+
+
 class AttAccVocabulary:
-    """The att/acc variable space for a fixed argument sequence."""
+    """The att/acc variable space for a fixed argument sequence; instances
+    over the same arguments share one cached layout."""
 
     def __init__(self, arguments: Sequence[str]):
         self.arguments = tuple(arguments)
-        n = len(self.arguments)
-        self.pairs = [(x, y) for x in self.arguments for y in self.arguments]
-        self.att_names = tuple(f"att_{x}_{y}" for x, y in self.pairs)
-        self.acc_names = tuple(f"acc_{x}" for x in self.arguments)
-        names = self.att_names + self.acc_names
-        if len(set(names)) != n * n + n:
-            raise ValueError(
-                "att/acc variable names collide for these argument identifiers"
-            )
-        self.vocabulary = Vocabulary(names)
-        self._att_index = {name: p for p, name in enumerate(self.att_names)}
-        self._acc_index = {name: i for i, name in enumerate(self.acc_names)}
+        (
+            self.pairs,
+            self.att_names,
+            self.acc_names,
+            self.vocabulary,
+            self._att_index,
+            self._acc_index,
+        ) = _layout(self.arguments)
 
     @property
     def n(self) -> int:
@@ -114,14 +132,6 @@ class AttAccVocabulary:
         true_set = {self.att_var(x, y) for x, y in attacks}
         true_set |= {self.acc_var(x) for x in accepted}
         return Interpretation(self.vocabulary, frozenset(true_set))
-
-
-@lru_cache(maxsize=32)
-def _vocabulary_of(arguments: tuple[str, ...]) -> AttAccVocabulary:
-    """One AttAccVocabulary per argument tuple, shared by the steps of a query
-    (instances are never mutated), so that its n*n + n names are built and
-    checked once."""
-    return AttAccVocabulary(arguments)
 
 
 def canonical_model(af: ArgumentationFramework) -> Interpretation:

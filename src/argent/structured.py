@@ -154,12 +154,17 @@ class CertaintyMap:
             head, sep, rest = stripped.partition(":")
             if not sep:
                 raise ParseError("expected '<rational> : <formula>'", lineno, 1)
-            try:
-                value = Fraction(head.strip())
-            except (ValueError, ZeroDivisionError):
-                raise ParseError(f"bad rational {head.strip()!r}", lineno, 1) from None
-            values[parse_formula(rest)] = value
+            values[parse_formula(rest)] = parse_rational(head.strip(), lineno)
         return cls(values)
+
+
+def parse_rational(text: str, line: int | None = None) -> Fraction:
+    """`text` as a Fraction, or a ParseError (at column 1 of `line`, when
+    given) for text that is not a rational, such as '1/0'."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad rational {text!r}", line, None if line is None else 1) from None
 
 
 @dataclass(frozen=True)

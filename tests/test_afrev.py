@@ -27,7 +27,7 @@ from argent import (
     theory_models,
 )
 from argent import encoding
-from conftest import oracle_revision_solutions
+from conftest import oracle_acceptance, oracle_revision_solutions
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +258,79 @@ def test_chunk_size_does_not_change_outcomes(monkeypatch):
     for size in (1, 3):
         monkeypatch.setattr(encoding, "_CHUNK", size)
         assert run_all() == default
+
+
+# Explicit cases for the scan's first chunk: the original framework rides in
+# it, as a candidate that cannot pass when pins flip its attacks (every case
+# with a constraint), and acc0 is read from it (an odd cycle in the third, so
+# acc0 is vacuous).  Each `admits` is the goal and constraint written out.
+PINNED_CASES = [
+    ({("a", "b"), ("b", "c")}, "!acc(b)", "!att(a,b) & att(c,a)",
+     lambda att, acc: ("a", "b") not in att and ("c", "a") in att and "b" not in acc),
+    ({("a", "b"), ("b", "a"), ("b", "c")}, "acc(c) | att(c,c)", "att(a,a)",
+     lambda att, acc: ("a", "a") in att and ("c" in acc or ("c", "c") in att)),
+    ({("a", "b"), ("b", "c"), ("c", "a")}, "acc(a) & !acc(c)", "!att(c,a) & !att(b,b)",
+     lambda att, acc: ("c", "a") not in att and ("b", "b") not in att
+     and "a" in acc and "c" not in acc),
+    (set(), "!acc(a) & !acc(b)", None,
+     lambda att, acc: "a" not in acc and "b" not in acc),
+    ({("a", "b"), ("b", "c")}, "acc(b)", "!att(a,b)",  # the pins alone reach the goal
+     lambda att, acc: ("a", "b") not in att and "b" in acc),
+]
+
+
+def test_scan_matches_oracle_with_pinned_flips(monkeypatch):
+    """Every mode, with and without the extension filter, at the default
+    chunk size and at 3, where dalal's levels span several chunks."""
+    args, radius = ("a", "b", "c"), 5
+    enc = AttAccVocabulary(args)
+    for attacks, goal, constraint, admits in PINNED_CASES:
+        af = ArgumentationFramework(args, frozenset(attacks))
+        acc0, _ = oracle_acceptance(args, attacks)
+        goal_f = parse_goal(goal, enc)
+        constraint_f = parse_goal(constraint, enc) if constraint else None
+        for require_extension in (True, False):
+            solutions = oracle_revision_solutions(
+                af, lambda att, acc, _: admits(att, acc), radius, require_extension
+            )
+            for mode in (DALAL, ATT_WEIGHTED, ATT_ONLY):
+                w_att, w_acc = mode_weights(mode, len(args))
+                weighed = [(w_att * r + w_acc * len(acc ^ acc0), att, acc)
+                           for r, att, acc in solutions]
+                best = min(w for w, _, _ in weighed)
+                assert best < w_att * (radius + 1)  # no lighter model lies beyond the radius
+                want = {(att, acc) for w, att, acc in weighed if w == best}
+                for size in (encoding._CHUNK, 3):
+                    monkeypatch.setattr(encoding, "_CHUNK", size)
+                    out = revise_af(af, goal_f, constraint_f, mode, require_extension)
+                    assert {(e.af.attacks, e.accepted) for e in out} == want
+                    assert {e.total_weight for e in out} == {best}
+                    monkeypatch.undo()
+
+
+def test_one_kernel_run_reaches_level_one(monkeypatch):
+    """The original framework, level 0 and level 1 share one kernel run, and
+    revise_af reads acc0 from it instead of calling acceptance_mask."""
+    from argent import kernels
+
+    runs = []
+    columns = kernels.acceptance_columns
+
+    def counting(*args):
+        runs.append(args[1])
+        return columns(*args)
+
+    def refuse(*args):
+        raise AssertionError("acceptance_mask called")
+
+    monkeypatch.setattr(kernels, "acceptance_columns", counting)
+    monkeypatch.setattr(kernels, "acceptance_mask", refuse)
+    af = ArgumentationFramework(("a", "b"), frozenset({("a", "b")}))
+    enc = AttAccVocabulary(af.arguments)
+    for constraint, baseline in ((None, 0), (parse_goal("att(b,a)", enc), 1)):
+        for mode in (ATT_ONLY, ATT_WEIGHTED):
+            runs.clear()
+            out = revise_af(af, parse_goal("acc(b)", enc), constraint, mode)
+            assert out
+            assert {len(e.att_added | e.att_removed) for e in out} == {baseline + 1}
+            assert runs == [2]

@@ -383,6 +383,17 @@ def test_value_error_exits_2(capsys):
     assert err == "error: duplicate variable name: 'a'\n"
 
 
+def test_bad_tau_exits_2(capsys, tmp_path):
+    # --tau goes through the certainty files' rational check
+    argv = ("args", "encode", "--support", "a ; a -> b", "--claim", "b")
+    code, out, err = run_err(capsys, *argv, "--tau", "1/0")
+    assert (code, out, err) == (2, "", "error: bad rational '1/0'\n")
+    certainty = tmp_path / "c.certainty"
+    certainty.write_text("1/0 : a\n")
+    code, out, err = run_err(capsys, *argv, "--certainty", str(certainty))
+    assert (code, out, err) == (2, "", "error: line 1, col 1: bad rational '1/0'\n")
+
+
 def test_library_error_exits_2(capsys, monkeypatch):
     from argent import cli
     from argent.errors import ArgentError

@@ -1,5 +1,7 @@
 """Enthymeme-framework parsing, classification, constrained revision, acceptability."""
 
+from functools import lru_cache
+
 import pytest
 
 import argent.eaf as eaf_module
@@ -409,16 +411,15 @@ def test_acceptability_builds_each_enthymemes_candidates_once(f3, monkeypatch):
 
 
 def test_revision_builds_one_vocabulary_per_framework(f3, monkeypatch):
-    # revise_eaf, its constraint and revise_af share one vocabulary.
-    encoding._vocabulary_of.cache_clear()
+    # revise_eaf, its constraints and revise_af read one cached layout.
+    layout = encoding._layout.__wrapped__
     built = []
-    original = AttAccVocabulary.__init__
 
-    def counting(self, arguments):
-        built.append(tuple(arguments))
-        original(self, arguments)
+    def counting(arguments):
+        built.append(arguments)
+        return layout(arguments)
 
-    monkeypatch.setattr(AttAccVocabulary, "__init__", counting)
+    monkeypatch.setattr(encoding, "_layout", lru_cache(maxsize=32)(counting))
     for constraint_mode in ("deductive", "certain", "none"):
         revise_eaf(f3, "acc(e1)", constraint_mode, ATT_ONLY)
     assert built == [f3.ids]
