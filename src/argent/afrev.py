@@ -15,15 +15,24 @@ With uniform weights the scan keeps going until no deeper level can beat the
 best total found, so the returned set is exactly the distance-minimal one.
 
 One kernel run covers the original framework, which gives the acceptance
-that acc flips are counted against, together with levels 0 and 1.  Per chunk
-of candidates the acc-flip counts are summed bit-sliced, and only the
-chunk's lightest passing candidates are decoded.
+that acc flips are counted against, together with levels 0 and 1.  A deeper
+level's flip sets come as cached bit columns, one per free att variable, so a
+chunk's att columns cost one XOR each.  Per chunk of candidates the acc-flip
+counts are summed bit-sliced, and only the chunk's lightest passing
+candidates are decoded, from their bits of the chunk's columns.  Whether a
+goal over at most ENUMERATION_LIMIT variables has a model at all is tested
+only when levels 0 and 1 found none.
+
+Goals go through the formula scanner (:func:`prop.scan`) with one token for
+each well-formed `acc(x)` or `att(x,y)` atom, which the parser resolves with
+one lookup; any other text is scanned token by token, with the positions and
+errors of a formula.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import chain
 from math import comb
 from typing import Iterable
 
@@ -36,11 +45,27 @@ from .af import (
 )
 from .encoding import (
     AttAccVocabulary,
+    cut_blocks,
+    flip_level,
     pin_att_units,
     scan_candidates,
 )
-from .errors import ParseError, UnknownArgumentError
-from .prop import And, Formula, FormulaParser, TRUE, Var, satisfiable, scan, variables
+from .errors import ParseError, ResourceLimitError, UnknownArgumentError
+from .prop import (
+    ENUMERATION_LIMIT,
+    IDENT,
+    TRUE,
+    And,
+    AtomToken,
+    Formula,
+    FormulaParser,
+    Token,
+    Var,
+    satisfiable,
+    scan,
+    token_pattern,
+    variables,
+)
 
 DALAL = "dalal"
 ATT_WEIGHTED = "att-weighted"
@@ -59,6 +84,12 @@ def mode_weights(mode: str, n: int) -> tuple[int, int]:
     raise ValueError(f"unknown distance mode: {mode!r} (choose from {MODES})")
 
 
+# A well-formed goal atom, scanned as one token; an argument named `true` or
+# `false` is left to the token path, which rejects it as a constant.
+_NOT_CONST = r"(?!(?:true|false)[,)])"
+_GOAL_ATOM = rf"acc\({_NOT_CONST}{IDENT}\)|att\({_NOT_CONST}{IDENT},{_NOT_CONST}{IDENT}\)"
+
+
 class _GoalParser(FormulaParser):
     """Formula parser whose only identifier atoms are acc(...) and att(...,...)."""
 
@@ -68,33 +99,53 @@ class _GoalParser(FormulaParser):
 
     def ident_atom(self) -> Formula:
         tok = self.advance()
+        if isinstance(tok, AtomToken):
+            name = self._enc.atom_names.get(tok.atom)
+            if name is None:
+                self._unknown(tok)
+            return Var(name)
         if tok.text not in ("acc", "att"):
             raise ParseError(
                 "expected an acc(...) or att(...,...) atom", tok.line, tok.col
             )
         self.expect("lparen", "'('")
-        first = self.expect("ident", "an argument identifier")
         if tok.text == "acc":
+            first = self._argument("')'")
             self.expect("rparen", "')'")
-            self._check(first)
+            self._check(first.text, first.line, first.col)
             return Var(self._enc.acc_var(first.text))
+        first = self._argument("','")
         self.expect("comma", "','")
-        second = self.expect("ident", "an argument identifier")
+        second = self._argument("')'")
         self.expect("rparen", "')'")
-        self._check(first)
-        self._check(second)
+        self._check(first.text, first.line, first.col)
+        self._check(second.text, second.line, second.col)
         return Var(self._enc.att_var(first.text, second.text))
 
-    def _check(self, tok) -> None:
-        if tok.text not in self._enc.arguments:
-            raise UnknownArgumentError(
-                f"unknown argument {tok.text!r} at line {tok.line}, col {tok.col}"
-            )
+    def _argument(self, follow: str) -> Token:
+        """An argument identifier, which must be followed by `follow`.  A
+        whole atom read here is an `acc` / `att` identifier followed by its
+        own '(', so the error is raised there."""
+        tok = self.expect("ident", "an argument identifier")
+        if isinstance(tok, AtomToken):
+            raise ParseError(f"expected {follow}", tok.line, tok.col + 3)
+        return tok
+
+    def _unknown(self, tok: AtomToken) -> None:
+        """Raise for the first unknown argument of a whole atom, at its own column."""
+        col = tok.col + 4
+        for arg in tok.atom[4:-1].split(","):
+            self._check(arg, tok.line, col)
+            col += len(arg) + 1
+
+    def _check(self, arg: str, line: int, col: int) -> None:
+        if arg not in self._enc.arguments:
+            raise UnknownArgumentError(f"unknown argument {arg!r} at line {line}, col {col}")
 
 
 def parse_goal(text: str, enc: AttAccVocabulary) -> Formula:
     """Compile a goal/constraint over acc(x) and att(x,y) atoms to att/acc variables."""
-    return _GoalParser(scan(text), enc).parse()
+    return _GoalParser(scan(text, token_pattern(_GOAL_ATOM)), enc).parse()
 
 
 @dataclass(frozen=True)
@@ -140,18 +191,25 @@ def revise_af(
 
     The search fixes att variables pinned by unit literals of goal/constraint,
     then scans flip subsets of the free att variables by increasing size k,
-    a chunk of candidates at a time (see :func:`encoding.scan_candidates`).
-    Each candidate's acc assignment is forced by the attacks, so a level-k scan
-    is complete for every model with k free flips; the scan stops once no
-    deeper level can reach the best total weight.  The first chunk also holds
-    the original framework, whose acceptance is read from it; levels 0 and 1
-    share that kernel run.  Each chunk's acc-flip counts are added into bit
-    planes, and only the passing candidates with the chunk's fewest acc flips
-    are decoded, and kept when they tie or beat the best total so far.  When
+    a chunk of candidates at a time (see :func:`encoding.scan_candidates`);
+    level k >= 2 comes in `combinations` order as cached flip columns
+    (:func:`encoding.flip_level`).  Each candidate's acc assignment is forced
+    by the attacks, so a level-k scan is complete for every model with k free
+    flips; the scan stops once no deeper level can reach the best total
+    weight.  The first chunk also holds the original framework, whose
+    acceptance is read from it; levels 0 and 1 share that kernel run.  Each
+    chunk's acc-flip counts are added into bit planes, and only the passing
+    candidates with the chunk's fewest acc flips are read off the chunk's
+    columns, and kept when they tie or beat the best total so far.  When
     `require_extension` is set, candidates without a stable extension are
     excluded, which keeps the degenerate all-accepted models out of the result.
 
-    An empty outcome (never an exception) means no admissible model exists.
+    Goal and constraint over more than ENUMERATION_LIMIT variables are
+    tested for satisfiability first, since only there can the test refuse.
+    Narrower ones are tested only when levels 0 and 1 hold no model, before
+    level 2, or when more than FREE_ATT_LIMIT free att variables would make
+    the scan refuse: an unsatisfiable goal then gives an empty outcome, not a
+    ResourceLimitError.  An empty outcome means no admissible model exists.
     """
     _guard_size(af)
     n = len(af.arguments)
@@ -159,55 +217,67 @@ def revise_af(
     enc = AttAccVocabulary(af.arguments)
     constraint = TRUE if constraint is None else constraint
     combined = And((goal, constraint)) if constraint != TRUE else goal
-    foreign = variables(combined) - enc.vocabulary.name_set
+    names = variables(combined)
+    foreign = names - enc.vocabulary.name_set
     if foreign:
         raise UnknownArgumentError(f"variable {min(foreign)!r} is not an att/acc variable")
-    if not satisfiable([combined]):
+    # Whether a goal is refused must not depend on where its models lie.
+    tested = len(names) > ENUMERATION_LIMIT
+    if tested and not satisfiable([combined]):
         return RevisionOutcome(())
-    pins = pin_att_units(combined, enc)
+    try:
+        pins = pin_att_units(combined, enc)
+    except ResourceLimitError:
+        if not tested and not satisfiable([combined]):  # no model: empty, not refused
+            return RevisionOutcome(())
+        raise
     if pins is None:
         return RevisionOutcome(())
     pinned, value, free = pins
     base_att = 0
-    for p, pair in enumerate(enc.pairs):
-        if pair in af.attacks:
-            base_att |= 1 << p
+    for pair in af.attacks:
+        base_att |= 1 << enc.pair_index[pair]
     start = base_att & ~pinned | value
-    baseline = bin(start ^ base_att).count("1")
+    pin_flips = _positions(start ^ base_att)
+    baseline = len(pin_flips)
+    m = len(free)
 
     # Levels 0 and 1 share one candidate stream, and so one kernel run for
     # any chunk size of at least their count.  The stream opens with the
     # original framework, which gives acc0: the level-0 candidate when no pin
     # changes it, else the pinned flips back from `start`, which break the
     # pins and so never pass.  A level is a range of the stream's candidates
-    # with one att weight: (begin, end, att weight).
-    first: list[tuple[int, ...]] = []
-    first_levels = []
-    if baseline:
-        first.append(_positions(start ^ base_att, n * n))
-        first_levels.append((0, 1, 0))
-    first_levels.append((len(first), len(first) + 1, w_att * baseline))
-    first_levels.append((len(first) + 1, len(first) + 1 + len(free), w_att * (baseline + 1)))
-    first += [()] + [(p,) for p in free]
+    # with one att weight: (begin, end, att weight).  Deeper levels come as
+    # cached flip columns (see :func:`encoding.flip_level`).
+    lead = 1 if baseline else 0
+    first_levels = [(0, 1, 0)] if baseline else []
+    first_levels.append((lead, lead + 1, w_att * baseline))
+    first_levels.append((lead + 1, lead + 1 + m, w_att * (baseline + 1)))
+    first_flips = [1] * baseline + [1 << (lead + 1 + j) for j in range(m)]
     batches = chain(
-        [(first, first_levels)],
+        [(pin_flips + free, cut_blocks(first_flips, lead + 1 + m), first_levels)],
         (
-            (combinations(free, k), [(0, comb(len(free), k), w_att * (baseline + k))])
-            for k in range(2, len(free) + 1)
+            (free, flip_level(m, k), [(0, comb(m, k), w_att * (baseline + k))])
+            for k in range(2, m + 1)
         ),
     )
 
     acc0_mask = None
-    hits: list[tuple[tuple[int, ...], int, bool]] = []
+    hits: list[tuple[int, int, bool]] = []
     best: int | None = None
-    for flip_sets, levels in batches:
+    for depth, (positions, blocks, levels) in enumerate(batches):
         if best is not None and levels[0][2] > best:
             break
+        # Levels 0 and 1 found nothing: test the goal once before going deeper.
+        if depth == 1 and best is None and not tested and not satisfiable([combined]):
+            return RevisionOutcome(())
         offset = 0
-        for chunk, acc_cols, vacuous, sat in scan_candidates(enc, start, flip_sets, combined):
-            size = len(chunk)
+        for full, att_cols, acc_cols, vacuous, sat in scan_candidates(
+            enc, start, positions, blocks, combined
+        ):
+            size = full.bit_length()
             if acc0_mask is None:
-                acc0_mask = sum(1 << i for i, col in enumerate(acc_cols) if col & 1)
+                acc0_mask = _bits_at(acc_cols, 1)
             if require_extension:
                 sat &= ~vacuous
             planes = None
@@ -219,47 +289,60 @@ def revise_af(
                 flips = 0
                 if w_acc:
                     if planes is None:
-                        planes = _flip_planes(acc_cols, acc0_mask, (1 << size) - 1)
+                        planes = _flip_planes(acc_cols, acc0_mask, full)
                     flips, passing = _lightest(planes, passing)
                 total = att_weight + w_acc * flips
                 if best is None or total < best:
                     best, hits = total, []
                 if total == best:
-                    hits += _decode(passing, chunk, acc_cols, vacuous)
+                    hits += _decode(passing, att_cols, acc_cols, vacuous)
             offset += size
     if best is None:
         return RevisionOutcome(())
-    kept = []
-    for combo, acc_mask, vacuous in hits:
-        att = start
-        for p in combo:
-            att ^= 1 << p
-        kept.append((_positions(att ^ base_att, n * n), att, acc_mask, vacuous))
-    kept.sort(key=lambda h: h[0])
+    # Entries in order of their flip sets; the few flipped pairs give the
+    # change record, and the attacks are the original ones edited by it.
+    args, pairs = af.arguments, enc.pairs
     entries = []
-    for _, att, acc_mask, vacuous in kept:
-        attacks = frozenset(enc.pairs[p] for p in range(n * n) if (att >> p) & 1)
-        new_af = ArgumentationFramework(af.arguments, attacks)
-        accepted = frozenset(a for i, a in enumerate(af.arguments) if (acc_mask >> i) & 1)
+    for flips, acc_mask, vacuous in sorted(
+        (_positions(att ^ base_att), acc_mask, vacuous) for att, acc_mask, vacuous in hits
+    ):
+        added = frozenset([pairs[p] for p in flips if not base_att >> p & 1])
+        removed = frozenset([pairs[p] for p in flips if base_att >> p & 1])
         entries.append(
             RevisionEntry(
-                af=new_af,
-                accepted=accepted,
+                af=ArgumentationFramework._known(args, af.attacks - removed | added),
+                accepted=_members(args, acc_mask),
                 vacuous=vacuous,
-                att_added=frozenset(attacks - af.attacks),
-                att_removed=frozenset(af.attacks - attacks),
-                acc_changed=frozenset(
-                    a for i, a in enumerate(af.arguments) if ((acc_mask ^ acc0_mask) >> i) & 1
-                ),
+                att_added=added,
+                att_removed=removed,
+                acc_changed=_members(args, acc_mask ^ acc0_mask),
                 total_weight=best,
             )
         )
     return RevisionOutcome(tuple(entries))
 
 
-def _positions(mask: int, width: int) -> tuple[int, ...]:
-    """The set bits of `mask` below `width`, ascending."""
-    return tuple(p for p in range(width) if mask >> p & 1)
+def _positions(mask: int) -> list[int]:
+    """The set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _members(arguments: tuple[str, ...], mask: int) -> frozenset[str]:
+    return frozenset([arguments[i] for i in _positions(mask)])
+
+
+def _bits_at(cols: list[int], bit: int) -> int:
+    """The mask of the columns that hold `bit`: one candidate's row."""
+    mask = 0
+    for i, col in enumerate(cols):
+        if col & bit:
+            mask |= 1 << i
+    return mask
 
 
 def _flip_planes(acc_cols: list[int], acc0: int, full: int) -> list[int]:
@@ -294,17 +377,14 @@ def _lightest(planes: list[int], column: int) -> tuple[int, int]:
     return count, column
 
 
-def _decode(column: int, chunk, acc_cols: list[int], vacuous: int):
-    """(flip set, acc mask, vacuous) of each candidate of `column`."""
+def _decode(column: int, att_cols: list[int], acc_cols: list[int], vacuous: int):
+    """(att mask, acc mask, vacuous) of each candidate of `column`, read
+    from its bit of the columns."""
     found = []
     while column:
         low = column & -column
         column ^= low
-        acc_mask = 0
-        for i, col in enumerate(acc_cols):
-            if col & low:
-                acc_mask |= 1 << i
-        found.append((chunk[low.bit_length() - 1], acc_mask, bool(vacuous & low)))
+        found.append((_bits_at(att_cols, low), _bits_at(acc_cols, low), bool(vacuous & low)))
     return found
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import compress, islice, product
 from typing import Iterable, Iterator, Sequence
 
 from . import kernels
@@ -49,15 +48,19 @@ _CHUNK = 256  # candidates per kernel call, which bounds the columns' size
 
 @lru_cache(maxsize=32)
 def _layout(arguments: tuple[str, ...]):
-    """Pairs, names, Vocabulary and name indexes of the att/acc space over
+    """Pairs, names, Vocabulary and indexes of the att/acc space over
     `arguments`, built and checked once per argument tuple and shared by
-    every AttAccVocabulary over it (none of them is ever mutated)."""
+    every AttAccVocabulary over it (none of them is ever mutated).  Besides
+    the name indexes it maps each pair to its position, and each goal atom
+    as written, `acc(x)` or `att(x,y)`, to its variable name."""
     pairs = tuple((x, y) for x in arguments for y in arguments)
     att_names = tuple(f"att_{x}_{y}" for x, y in pairs)
     acc_names = tuple(f"acc_{x}" for x in arguments)
     names = att_names + acc_names
     if len(set(names)) != len(names):
         raise ValueError("att/acc variable names collide for these argument identifiers")
+    atoms = {f"att({x},{y})": name for (x, y), name in zip(pairs, att_names)}
+    atoms.update((f"acc({x})", name) for x, name in zip(arguments, acc_names))
     return (
         pairs,
         att_names,
@@ -65,6 +68,8 @@ def _layout(arguments: tuple[str, ...]):
         Vocabulary(names),
         {name: p for p, name in enumerate(att_names)},
         {name: i for i, name in enumerate(acc_names)},
+        {pair: p for p, pair in enumerate(pairs)},
+        atoms,
     )
 
 
@@ -81,6 +86,8 @@ class AttAccVocabulary:
             self.vocabulary,
             self._att_index,
             self._acc_index,
+            self.pair_index,
+            self.atom_names,
         ) = _layout(self.arguments)
 
     @property
@@ -198,32 +205,94 @@ def pin_att_units(formula: Formula, enc: AttAccVocabulary):
     return pinned, value, free
 
 
-def scan_candidates(
-    enc: AttAccVocabulary, start: int, flip_sets: Iterable[Sequence[int]], formula: Formula
-) -> Iterator[tuple[list[Sequence[int]], list[int], int, int]]:
-    """Test `formula` on candidate frameworks, a chunk at a time.
+@lru_cache(maxsize=1024)
+def _subset_columns(m: int, k: int, lo: int, count: int) -> tuple[int, ...]:
+    """Flip columns of the k-subsets of range(m) of ranks lo .. lo + count - 1
+    in `combinations` order: bit c of column j is set when j is in the
+    subset of rank lo + c.
 
-    Candidate c of a chunk is the att bitmask `start` with the positions of
-    its flip set toggled.  Per chunk of at most _CHUNK flip sets this yields
-    the flip sets, the acceptance columns and vacuous column of
+    The subsets led by one element j form a run: column j gets one mask of
+    ones, and the tails, (k-1)-subsets of the elements after j, come from
+    this function again; a run wholly inside the range takes a whole smaller
+    level, which the cache shares between blocks.  Keyed by range, so the
+    cache holds at most 1024 ranges however large a level is."""
+    cols = [0] * m
+    j = bit = 0
+    while count:
+        run = math.comb(m - j - 1, k - 1)
+        if lo >= run:
+            lo -= run
+        else:
+            take = min(run - lo, count)
+            cols[j] |= ((1 << take) - 1) << bit
+            if k > 1:
+                for t, col in enumerate(_subset_columns(m - j - 1, k - 1, lo, take), j + 1):
+                    cols[t] |= col << bit
+            bit += take
+            count -= take
+            lo = 0
+        j += 1
+    return tuple(cols)
+
+
+def flip_level(m: int, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Blocks (see :func:`scan_candidates`) of the k-subsets of m flip
+    positions (k >= 1), in `combinations` order, _CHUNK candidates a block."""
+    size = _CHUNK
+    total = math.comb(m, k)
+    for lo in range(0, total, size):
+        count = min(size, total - lo)
+        yield (1 << count) - 1, _subset_columns(m, k, lo, count)
+
+
+def cut_blocks(flips: Sequence[int], total: int) -> Iterator[tuple[int, list[int]]]:
+    """Blocks of `total` candidates given as whole flip columns, cut into
+    runs of _CHUNK candidates."""
+    size = _CHUNK
+    for lo in range(0, total, size):
+        full = (1 << min(size, total - lo)) - 1
+        yield full, [col >> lo & full for col in flips]
+
+
+def scan_candidates(
+    enc: AttAccVocabulary,
+    start: int,
+    positions: Sequence[int],
+    blocks: Iterable[tuple[int, Sequence[int]]],
+    formula: Formula,
+) -> Iterator[tuple[int, list[int], list[int], int, int]]:
+    """Test `formula` on candidate frameworks, a block of candidates at a time.
+
+    A block is ``(full, flips)``: `full` has one bit per candidate, and bit c
+    of ``flips[j]`` toggles att position ``positions[j]`` of the bitmask
+    `start` in candidate c.  Per block this yields `full`, the att columns, the
+    acceptance columns and vacuous column of
     :func:`kernels.acceptance_columns`, and the column of candidates whose
     att/acc assignment satisfies `formula`: bit c of a column belongs to
     candidate c.
     """
     n = enc.n
-    flip_sets = iter(flip_sets)
-    while chunk := list(islice(flip_sets, _CHUNK)):
-        full = (1 << len(chunk)) - 1
+    for full, flips in blocks:
         att_cols = [full if start >> p & 1 else 0 for p in range(n * n)]
-        bit = 1
-        for flips in chunk:
-            for p in flips:
-                att_cols[p] ^= bit
-            bit <<= 1
+        for p, col in zip(positions, flips):
+            att_cols[p] ^= col
         acc_cols, vacuous = kernels.acceptance_columns(att_cols, n, full)
         cols = dict(zip(enc.att_names, att_cols))
         cols.update(zip(enc.acc_names, acc_cols))
-        yield chunk, acc_cols, vacuous, truth_table(formula, cols, full)
+        yield full, att_cols, acc_cols, vacuous, truth_table(formula, cols, full)
+
+
+def _product_blocks(m: int) -> Iterator[tuple[int, list[int]]]:
+    """Blocks of the 2^m flip sets over m positions in product order (the
+    first position slowest, absent before present), _CHUNK a block."""
+    size = _CHUNK
+    total = 1 << m
+    for lo in range(0, total, size):
+        count = min(size, total - lo)
+        flips = [
+            sum(1 << c for c in range(count) if (lo + c) >> (m - 1 - j) & 1) for j in range(m)
+        ]
+        yield (1 << count) - 1, flips
 
 
 def theory_models(arguments: Sequence[str], constraint: Formula) -> Iterator[Interpretation]:
@@ -243,18 +312,13 @@ def theory_models(arguments: Sequence[str], constraint: Formula) -> Iterator[Int
     if pins is None:
         return
     _, base, free = pins
-    n = enc.n
-    flip_sets = (tuple(compress(free, bits)) for bits in product((0, 1), repeat=len(free)))
-    for chunk, acc_cols, _, sat in scan_candidates(enc, base, flip_sets, constraint):
+    blocks = _product_blocks(len(free))
+    for _, att_cols, acc_cols, _, sat in scan_candidates(enc, base, free, blocks, constraint):
         while sat:
             low = sat & -sat
             sat ^= low
-            c = low.bit_length() - 1
-            att_mask = base
-            for p in chunk[c]:
-                att_mask |= 1 << p
-            true_set = [enc.att_names[p] for p in range(n * n) if (att_mask >> p) & 1]
-            true_set += [a for a, col in zip(enc.acc_names, acc_cols) if col & low]
+            true_set = [name for name, col in zip(enc.att_names, att_cols) if col & low]
+            true_set += [name for name, col in zip(enc.acc_names, acc_cols) if col & low]
             yield Interpretation(enc.vocabulary, frozenset(true_set))
 
 

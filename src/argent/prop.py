@@ -155,8 +155,8 @@ def neg(f: Formula) -> Formula:
 # Scanner / parser
 # ---------------------------------------------------------------------------
 
-_IDENT_RE = re.compile(IDENT)
 _PUNCT = {"(": "lparen", ")": "rparen", "&": "and", "|": "or", "!": "not", ",": "comma"}
+_OPERATORS = {"<->": "iff", "->": "implies", **_PUNCT}
 
 
 @dataclass(slots=True)
@@ -167,50 +167,61 @@ class Token:
     col: int
 
 
-def scan(text: str) -> list[Token]:
+class AtomToken(Token):
+    """A whole atom scanned as one token (see :func:`token_pattern`): kind and
+    text are those of its leading identifier, and `atom` is its full text."""
+
+    __slots__ = ("atom",)
+
+
+@lru_cache(maxsize=None)
+def token_pattern(atom: str = "(?!)") -> re.Pattern:
+    """The pattern :func:`scan` matches at each position: blanks, then one
+    token or the end of the text.  Text matching `atom`, a regex without
+    groups of its own that is tried first, becomes one :class:`AtomToken`; it
+    must begin with an identifier and `(`.  By default nothing does.
+    Compiled on first use."""
+    return re.compile(
+        rf"[ \t\r]*(?:({atom})|(\n)|(#[^\n]*)|(<->|->|[()&|!,])|({IDENT})|\Z)"
+    )
+
+
+_ATOM, _NEWLINE, _COMMENT, _OPERATOR, _WORD = range(1, 6)  # token_pattern groups
+
+
+def scan(text: str, pattern: re.Pattern | None = None) -> list[Token]:
+    """The tokens of `text`, with 1-based lines and columns, closed by an eof
+    token; the eof token of a text ending in a comment sits at the `#`.
+    `pattern` is a :func:`token_pattern`, by default the formula one."""
+    match = (pattern or token_pattern()).match
     tokens = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
+    pos, line, line_start, n = 0, 1, 0, len(text)
+    tail = 0  # where the eof token goes
+    while pos < n:
+        m = match(text, pos)
+        if m is None:
+            pos = n - len(text[pos:].lstrip(" \t\r"))
+            raise ParseError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+        group = m.lastindex
+        tail = pos = m.end()
+        if group is None:  # blanks to the end
+            break
+        word = m.group(group)
+        col = pos - len(word) - line_start + 1
+        if group == _WORD:
+            tokens.append(Token("const" if word in ("true", "false") else "ident", word, line, col))
+        elif group == _OPERATOR:
+            tokens.append(Token(_OPERATORS[word], word, line, col))
+        elif group == _ATOM:
+            tok = AtomToken("ident", word[: word.index("(")], line, col)
+            tok.atom = word
+            tokens.append(tok)
+        elif group == _NEWLINE:
             line += 1
-            col = 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if text.startswith("<->", i):
-            tokens.append(Token("iff", "<->", line, col))
-            i += 3
-            col += 3
-            continue
-        if text.startswith("->", i):
-            tokens.append(Token("implies", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(_PUNCT[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        m = _IDENT_RE.match(text, i)
-        if m:
-            word = m.group()
-            kind = "const" if word in ("true", "false") else "ident"
-            tokens.append(Token(kind, word, line, col))
-            i = m.end()
-            col += len(word)
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+            line_start = pos
+        elif group == _COMMENT:
+            tail -= len(word)
+    tokens.append(Token("eof", "", line, tail - line_start + 1))
     return tokens
 
 
@@ -256,7 +267,9 @@ class FormulaParser:
         self._tokens = tokens
         self._pos = 0
         self._depth = 0
-        self._levels = _group_levels(tokens)
+        # Each nesting level needs a token of its own, so a stream of at most
+        # MAX_NESTING tokens cannot nest too deep.
+        self._levels = _group_levels(tokens) if len(tokens) > MAX_NESTING else {}
 
     def peek(self) -> Token:
         return self._tokens[self._pos]
@@ -357,13 +370,15 @@ def parse_formula_lines(text: str) -> tuple[Formula, ...]:
     """Parse a belief-base style file: one formula per line, blanks ignored."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        body = raw.split("#", 1)[0]
+        stripped = body.strip()
         if not stripped:
             continue
         try:
             out.append(parse_formula(stripped))
         except ParseError as exc:
-            raise ParseError(exc.message, lineno, exc.col) from None
+            lead = len(body) - len(body.lstrip())
+            raise ParseError(exc.message, lineno, exc.col + lead) from None
     return tuple(out)
 
 

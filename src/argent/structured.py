@@ -105,6 +105,25 @@ class StructuredArgument:
     ):
         return cls(arg_id, ENTHYMEME, tuple(support), claim, tuple(added), full_claim)
 
+    @classmethod
+    def _proved(
+        cls, e: "StructuredArgument", added: tuple[Formula, ...], full_claim: Formula
+    ) -> "StructuredArgument":
+        """The completion of enthymeme `e` by `added` and `full_claim`, which
+        a completion walk has just proved consistent and entailing: built
+        without proving it again."""
+        arg = object.__new__(cls)
+        for name, value in (
+            ("id", e.id),
+            ("kind", ENTHYMEME),
+            ("fixed_support", e.fixed_support),
+            ("fixed_claim", e.fixed_claim),
+            ("added_support", tuple(added)),
+            ("full_claim", full_claim),
+        ):
+            object.__setattr__(arg, name, value)
+        return arg
+
     @property
     def support(self) -> tuple[Formula, ...]:
         return self.fixed_support + self.added_support
@@ -148,13 +167,20 @@ class CertaintyMap:
         """Parse lines of the form `<rational in [0,1]> : <formula>`."""
         values: dict[Formula, Fraction] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
-            stripped = raw.split("#", 1)[0].strip()
+            body = raw.split("#", 1)[0]
+            stripped = body.strip()
             if not stripped:
                 continue
             head, sep, rest = stripped.partition(":")
             if not sep:
                 raise ParseError("expected '<rational> : <formula>'", lineno, 1)
-            values[parse_formula(rest)] = parse_rational(head.strip(), lineno)
+            value = parse_rational(head.strip(), lineno)
+            try:
+                values[parse_formula(rest)] = value
+            except ParseError as exc:
+                # `rest` starts just after the colon of the unstripped line
+                offset = len(body) - len(body.lstrip()) + len(head) + 1
+                raise ParseError(exc.message, lineno, exc.col + offset) from None
         return cls(values)
 
 

@@ -18,6 +18,7 @@ from argent import (
     UnknownArgumentError,
     Var,
     canonical_model,
+    format_formula,
     format_outcome,
     mode_weights,
     outcome_to_dict,
@@ -334,3 +335,128 @@ def test_one_kernel_run_reaches_level_one(monkeypatch):
             assert out
             assert {len(e.att_added | e.att_removed) for e in out} == {baseline + 1}
             assert runs == [2]
+
+
+def test_unsatisfiable_goal_over_the_guard_is_empty():
+    # The goal has no unit literal, so all 36 att variables stay free, past
+    # FREE_ATT_LIMIT; it has no model at all, so the outcome is empty rather
+    # than a refusal.
+    args = tuple(f"a{i}" for i in range(6))
+    goal = parse_goal("(acc(a0) | acc(a1)) & !acc(a0) & !acc(a1)", AttAccVocabulary(args))
+    assert len(revise_af(ArgumentationFramework(args, frozenset()), goal)) == 0
+
+
+def test_precheck_runs_only_past_level_one(monkeypatch):
+    """The goal's satisfiability is tested only when levels 0 and 1 found no
+    model, just before level 2."""
+    from argent import afrev
+
+    calls = []
+    satisfiable = afrev.satisfiable
+
+    def counting(formulas):
+        calls.append(formulas)
+        return satisfiable(formulas)
+
+    monkeypatch.setattr(afrev, "satisfiable", counting)
+    af = ArgumentationFramework(("a", "b", "c"), frozenset())
+    enc = AttAccVocabulary(af.arguments)
+    for goal, level, checks in (
+        ("!acc(b)", 1, 0),                      # one attack on b
+        ("!acc(a) & !acc(b)", 2, 1),            # two attacks
+        ("(acc(a) | acc(b)) & !acc(a) & !acc(b)", None, 1),  # no model
+    ):
+        calls.clear()
+        out = revise_af(af, parse_goal(goal, enc), mode=ATT_ONLY)
+        assert {e.total_weight for e in out} == ({level} if level else set())
+        assert len(calls) == checks
+
+
+def test_wide_goal_is_tested_first(monkeypatch):
+    """Only a goal over more than ENUMERATION_LIMIT variables can make the
+    satisfiability test refuse; such a goal is tested before the scan, so it
+    is refused even when the original framework is a model."""
+    from argent import prop
+
+    monkeypatch.setattr(prop, "SPLIT_NODE_LIMIT", 0)
+    args = ("a", "b", "c", "d", "e")
+    af = ArgumentationFramework(args, frozenset())
+    enc = AttAccVocabulary(args)
+    pairs = [(x, y) for x in args for y in args]
+    # acc(a) adds one variable to the second goal of each width
+    for width in (prop.ENUMERATION_LIMIT - 1, prop.ENUMERATION_LIMIT + 1):
+        text = " | ".join(f"!att({x},{y})" for x, y in pairs[:width])
+        for goal in (text, f"({text}) & acc(a) & !acc(a)"):
+            formula = parse_goal(goal, enc)
+            if width > prop.ENUMERATION_LIMIT:
+                with pytest.raises(ResourceLimitError):
+                    revise_af(af, formula)
+            else:
+                # the original framework is the only level-0 model
+                out = revise_af(af, formula)
+                assert [e.total_weight for e in out] == ([0] if "&" not in goal else [])
+
+
+def test_flip_levels_honour_the_chunk_size(monkeypatch):
+    """Deeper levels come from cached column blocks keyed on _CHUNK: a
+    smaller chunk makes more kernel runs and the same outcome."""
+    from math import ceil, comb
+
+    from argent import kernels
+
+    runs = []
+    columns = kernels.acceptance_columns
+
+    def counting(*args):
+        runs.append(args[2].bit_length())
+        return columns(*args)
+
+    monkeypatch.setattr(kernels, "acceptance_columns", counting)
+    af = ArgumentationFramework(("a", "b", "c"), frozenset())
+    goal = parse_goal("!acc(a) & !acc(b)", AttAccVocabulary(af.arguments))
+    found = {}
+    for size in (encoding._CHUNK, 3):
+        monkeypatch.setattr(encoding, "_CHUNK", size)
+        runs.clear()
+        found[size] = revise_af(af, goal, mode=DALAL)
+        # levels 0-1 (10 candidates), then levels 2 to 4 over 9 free att
+        # variables: the best total is 2 att flips + 2 acc flips
+        assert {e.total_weight for e in found[size]} == {4}
+        want = ceil(10 / size) + sum(ceil(comb(9, k) / size) for k in (2, 3, 4))
+        assert len(runs) == want and max(runs) == min(size, comb(9, 4))
+    assert found[3] == found[encoding._CHUNK]
+    assert len(found[3]) > 1
+
+
+# Each goal's error (or formula) exactly as the token-by-token scanner gave
+# it before well-formed atoms were scanned whole.
+GOAL_TEXTS = [
+    ("acc (x)", "acc_x"),
+    ("acc(x # c\n)", "acc_x"),
+    ("acc(\nx)", "acc_x"),
+    ("acc(x,y)", "ParseError: line 1, col 6: expected ')'"),
+    ("att(x)", "ParseError: line 1, col 6: expected ','"),
+    ("acc(q)", "UnknownArgumentError: unknown argument 'q' at line 1, col 5"),
+    ("att(x,q)", "UnknownArgumentError: unknown argument 'q' at line 1, col 7"),
+    ("att(q,x)", "UnknownArgumentError: unknown argument 'q' at line 1, col 5"),
+    ("acc(x) &\n  att(y,q)", "UnknownArgumentError: unknown argument 'q' at line 2, col 9"),
+    ("acc(x", "ParseError: line 1, col 6: expected ')'"),
+    ("accx(x)", "ParseError: line 1, col 1: expected an acc(...) or att(...,...) atom"),
+    ("!" * 101 + "acc(x)", "ParseError: line 1, col 101: nesting deeper than 100 levels"),
+    ("acc(true)", "ParseError: line 1, col 5: expected an argument identifier"),
+    ("acc(acc(x))", "ParseError: line 1, col 8: expected ')'"),
+    ("att(x,att(y,z))", "ParseError: line 1, col 10: expected ')'"),
+    ("acc(x) acc(y)", "ParseError: line 1, col 8: unexpected 'acc'"),
+    ("acc(x) & # c", "ParseError: line 1, col 10: unexpected end of input"),
+    ("acc(x) & $", "ParseError: line 1, col 10: unexpected character '$'"),
+]
+
+
+@pytest.mark.parametrize("text, want", GOAL_TEXTS, ids=[repr(t)[:24] for t, _ in GOAL_TEXTS])
+def test_goal_errors_are_unchanged(text, want):
+    enc = AttAccVocabulary(("x", "y", "z"))
+    try:
+        got = format_formula(parse_goal(text, enc))
+    except (ParseError, UnknownArgumentError) as exc:
+        got = f"{type(exc).__name__}: {exc}"
+    assert got == want

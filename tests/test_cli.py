@@ -267,6 +267,10 @@ def test_resource_guard_exit_code(tmp_path, capsys):
     capsys.readouterr()
     assert main(["revise-af", "--af", str(six), "--goal", "acc(a0)"]) == 4
     assert "36 free att variables" in capsys.readouterr().err
+    # past the guard too, but with no model at all: an empty outcome
+    unsat = "(acc(a0) | acc(a1)) & !acc(a0) & !acc(a1)"
+    assert main(["revise-af", "--af", str(six), "--goal", unsat]) == 3
+    assert capsys.readouterr().out == "entries: 0\n"
     wide = " | ".join(f"v{i}" for i in range(26))
     assert main(["models", wide]) == 4
     assert "2^26 assignments" in capsys.readouterr().err

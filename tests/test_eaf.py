@@ -423,3 +423,32 @@ def test_revision_builds_one_vocabulary_per_framework(f3, monkeypatch):
     for constraint_mode in ("deductive", "certain", "none"):
         revise_eaf(f3, "acc(e1)", constraint_mode, ATT_ONLY)
     assert built == [f3.ids]
+
+
+def test_witness_candidates_are_not_proved_twice(f3, monkeypatch):
+    # The completion walk proves each recompletion consistent and entailing;
+    # building the candidates runs no second proof, and changes no result.
+    from argent.structured import StructuredArgument, completion_walk
+
+    out = revise_eaf(f3, "acc(e1)", "deductive", ATT_ONLY)
+    base = parse_formula_lines((DATA / "beliefs_completion.txt").read_text())
+    pool = parse_formula_lines((DATA / "claims_completion.txt").read_text())
+    expected = acceptable_afs(f3, out, base, pool)
+    assert any(result.witness for result in expected)
+    proved = {}
+    for aid in f3.enthymeme_ids:
+        arg = f3.argument_map[aid]
+        proved[aid] = [arg] + [
+            StructuredArgument.enthymeme(aid, arg.fixed_support, arg.fixed_claim, added, claim)
+            for added, claim, tight in completion_walk(arg, base, pool, 3)
+            if tight and (added or claim != arg.fixed_claim)
+            and (added, claim) != (arg.added_support, arg.full_claim)
+        ]
+
+    def refuse(self):
+        raise AssertionError("a proved completion was proved again")
+
+    monkeypatch.setattr(StructuredArgument, "__post_init__", refuse)
+    for aid in f3.enthymeme_ids:
+        assert eaf_module._witness_candidates(f3.argument_map[aid], base, pool, 3) == proved[aid]
+    assert acceptable_afs(f3, out, base, pool) == expected

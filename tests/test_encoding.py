@@ -1,8 +1,10 @@
 """Att/acc vocabulary, canonical models, theory semantics, explicit emission."""
 
-from itertools import islice, product
+from itertools import combinations, islice, product
 
 import pytest
+
+from argent import encoding
 
 from argent import (
     ArgumentationFramework,
@@ -22,6 +24,7 @@ from argent import (
     stable_fixpoint_formula,
     theory_models,
 )
+from conftest import oracle_acceptance
 
 
 def test_vocabulary_layout():
@@ -183,3 +186,39 @@ def test_fixpoint_formula_matches_stability():
                 member_set = {a for a, keep in zip(args, member_bits) if keep}
                 assignment = att_true | member_set
                 assert evaluate(fixpoint, assignment) == is_stable(af, member_set)
+
+
+def test_flip_level_blocks_follow_combinations(monkeypatch):
+    # bit c of block column j: free index j is in the block's c-th k-subset
+    for size in (1, 3, 7, encoding._CHUNK):
+        monkeypatch.setattr(encoding, "_CHUNK", size)
+        for m, k in [(m, k) for m in range(1, 8) for k in range(1, m + 1)] + [(25, 3)]:
+            subsets = []
+            for full, cols in encoding.flip_level(m, k):
+                assert len(cols) == m and full.bit_length() <= size
+                for c in range(full.bit_length()):
+                    subsets.append(tuple(j for j in range(m) if cols[j] >> c & 1))
+            assert subsets == list(combinations(range(m), k))
+
+
+def test_theory_models_stream_matches_product_order(monkeypatch):
+    """The column scan streams the same models, in the same order, as the
+    enumeration it replaced: att assignments over the free positions in
+    product order, each with its acceptance, filtered by the constraint."""
+    args = ("a", "b", "c")
+    enc = AttAccVocabulary(args)
+    constraint = parse_goal("att(a,b) & !att(c,c) & !att(b,b) & (acc(a) | !att(b,a))", enc)
+    pinned = {("a", "b"): True, ("c", "c"): False, ("b", "b"): False}
+    free = [pair for pair in enc.pairs if pair not in pinned]
+    want = []
+    for bits in product((0, 1), repeat=len(free)):
+        attacks = {pair for pair, on in pinned.items() if on}
+        attacks |= {pair for pair, bit in zip(free, bits) if bit}
+        accepted, _ = oracle_acceptance(args, attacks)
+        true_set = {enc.att_var(x, y) for x, y in attacks} | {enc.acc_var(x) for x in accepted}
+        if evaluate(constraint, true_set):
+            want.append(frozenset(true_set))
+    assert len(want) > 1
+    for size in (encoding._CHUNK, 3):
+        monkeypatch.setattr(encoding, "_CHUNK", size)
+        assert [m.true_set for m in theory_models(args, constraint)] == want

@@ -128,6 +128,45 @@ def test_parse_formula_lines():
     assert fs == (Implies(Var("a"), Var("b")), Not(Var("b")))
 
 
+def test_parse_formula_lines_error_columns_count_from_line_start():
+    # the end of `  c -> (d` is column 10 of line 3, blanks before it included
+    with pytest.raises(ParseError) as info:
+        parse_formula_lines("a\n\n  c -> (d\n")
+    assert str(info.value) == "line 3, col 10: expected ')'"
+    with pytest.raises(ParseError) as info:
+        parse_formula_lines("\t x & $ # note")
+    assert str(info.value) == "line 1, col 7: unexpected character '$'"
+
+
+# Each text's formula or error, with the line and column the scanner gives;
+# goals share the scanner (test_goal_errors_are_unchanged in test_afrev).
+FORMULA_TEXTS = [
+    ("a # c", "a"),
+    ("a &# c", "line 1, col 4: unexpected end of input"),
+    ("a &\n# c\n  ", "line 3, col 3: unexpected end of input"),
+    ("\r\ta\r&\t$", "line 1, col 7: unexpected character '$'"),
+    ("a\n  b", "line 2, col 3: unexpected 'b'"),
+    ("a\n\n  -> b", "a -> b"),
+    ("a - b", "line 1, col 3: unexpected character '-'"),
+    ("a <- b", "line 1, col 3: unexpected character '<'"),
+    ("(a", "line 1, col 3: expected ')'"),
+    ("a &\n\n", "line 3, col 1: unexpected end of input"),
+    ("A", "line 1, col 1: unexpected character 'A'"),
+    ("a & true false", "line 1, col 10: unexpected 'false'"),
+    ("a,b", "line 1, col 2: unexpected ','"),
+    ("x1 | _y", "line 1, col 6: unexpected character '_'"),
+]
+
+
+@pytest.mark.parametrize("text, want", FORMULA_TEXTS, ids=[repr(t) for t, _ in FORMULA_TEXTS])
+def test_scan_positions(text, want):
+    try:
+        got = format_formula(parse_formula(text))
+    except ParseError as exc:
+        got = str(exc)
+    assert got == want
+
+
 def _random_formula(rng, names, depth):
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.1:

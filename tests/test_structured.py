@@ -13,6 +13,7 @@ from argent import (
     And,
     CertaintyMap,
     Not,
+    ParseError,
     ResourceLimitError,
     StructuredArgument,
     TRUE,
@@ -276,6 +277,16 @@ def test_certainty_map_parse():
     assert cm.value_of(p("rain -> umbrella")) == Fraction(9, 10)
     assert cm.value_of(p("rain")) == Fraction(1, 4)
     assert cm.value_of(p("other")) == 0
+
+
+def test_certainty_map_parse_error_positions():
+    # columns count from the start of the file's line, colon and blanks included
+    with pytest.raises(ParseError) as info:
+        CertaintyMap.parse("1 : a\n# note\n0.5 : a &\n")
+    assert str(info.value) == "line 3, col 10: unexpected end of input"
+    with pytest.raises(ParseError) as info:
+        CertaintyMap.parse("\n  1/2: (a | $\n")
+    assert str(info.value) == "line 2, col 13: unexpected character '$'"
 
 
 def test_is_enthymeme_for():
