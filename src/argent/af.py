@@ -64,8 +64,9 @@ ATT_STMT = re.compile(rf"att\s*\(\s*({IDENT})\s*,\s*({IDENT})\s*\)\s*\.")
 
 
 def strip_comments(text: str) -> str:
-    """`text` with every `#` comment removed; line breaks are kept."""
-    return "\n".join(line.split("#", 1)[0] for line in text.splitlines())
+    """`text` with every `#` comment removed; line breaks, which are `\\n`
+    only (as for :func:`prop.scan`), are kept."""
+    return "\n".join(line.split("#", 1)[0] for line in text.split("\n"))
 
 
 def line_col(text: str, pos: int) -> tuple[int, int]:

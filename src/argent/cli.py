@@ -29,6 +29,7 @@ from .prop import (
     Vocabulary,
     _decode_bits,
     _model_table,
+    _parse_shared,
     format_formula,
     parse_formula,
     parse_formula_lines,
@@ -254,9 +255,9 @@ def cmd_args(ns) -> int:
             print(f"att({src},{tgt}).")
         return EXIT_OK
     support = tuple(
-        parse_formula(part) for part in ns.support.split(";") if part.strip()
+        _parse_shared(part) for part in ns.support.split(";") if part.strip()
     )
-    claim = parse_formula(ns.claim)
+    claim = _parse_shared(ns.claim)
     certainty = (
         CertaintyMap.parse(Path(ns.certainty).read_text()) if ns.certainty else CertaintyMap()
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Sequence
 
 from .af import ATT_STMT, ArgumentationFramework, line_col, strip_comments
@@ -39,10 +39,10 @@ from .prop import (
     Var,
     _Compiled,
     _minimal_conflicts,
+    _parse_shared,
     conj,
     format_formula_set,
     minimal_conflict_subsets,
-    parse_formula,
 )
 from .structured import (
     DEDUCTIVE,
@@ -106,9 +106,19 @@ _HEADER_RE = re.compile(rf"(deductive|enthymeme)\s+({IDENT})\s*\{{")
 _FIELD_RE = re.compile(r"\b(support|claim|added_support|full_claim)\s*:")
 
 
+# Framework files kept by `parse_eaf`: each command run on a framework
+# (classify, revise, acceptable) reads it again, a few frameworks at a time.
+_SHARED_FRAMEWORKS = 32
+
+
+@lru_cache(maxsize=_SHARED_FRAMEWORKS)
 def parse_eaf(text: str) -> EnthymemeAF:
     """Parse the enthymeme-framework format; completed-enthymeme invariants are
-    checked and reported with the offending argument identifier."""
+    checked and reported with the offending argument identifier.  A formula
+    error is reported at its line and column in `text`.
+
+    Parsed once per distinct text in a process: the framework is immutable,
+    and an error is raised afresh on every call."""
     stripped = strip_comments(text)
     arguments: list[StructuredArgument] = []
     attacks: list[tuple[str, str]] = []
@@ -124,10 +134,8 @@ def parse_eaf(text: str) -> EnthymemeAF:
             if close < 0:
                 line, col = line_col(stripped, pos)
                 raise ParseError("unterminated argument block", line, col)
-            arguments.append(
-                _parse_block(m.group(1), m.group(2), stripped[m.end():close],
-                             line_col(stripped, pos)[0])
-            )
+            arguments.append(_parse_block(m.group(1), m.group(2), stripped, m.end(), close,
+                                          line_col(stripped, pos)[0]))
             pos = close + 1
             continue
         m = ATT_STMT.match(stripped, pos)
@@ -140,17 +148,19 @@ def parse_eaf(text: str) -> EnthymemeAF:
     return EnthymemeAF(tuple(arguments), frozenset(attacks))
 
 
-def _parse_block(kind: str, arg_id: str, body: str, line: int) -> StructuredArgument:
-    labels = list(_FIELD_RE.finditer(body))
-    if not labels or body[: labels[0].start()].strip():
+def _parse_block(
+    kind: str, arg_id: str, text: str, start: int, end: int, line: int
+) -> StructuredArgument:
+    """The argument whose block body is `text[start:end]`, its header on `line`."""
+    labels = list(_FIELD_RE.finditer(text, start, end))
+    if not labels or text[start: labels[0].start()].strip():
         raise ParseError(f"argument {arg_id}: malformed field list", line, 1)
-    fields: dict[str, str] = {}
-    for i, m in enumerate(labels):
-        end = labels[i + 1].start() if i + 1 < len(labels) else len(body)
+    fields: dict[str, tuple[int, int]] = {}  # field name -> span of its value in `text`
+    for m, stop in zip(labels, [m.start() for m in labels[1:]] + [end]):
         name = m.group(1)
         if name in fields:
             raise ParseError(f"argument {arg_id}: duplicate field {name!r}", line, 1)
-        fields[name] = body[m.end():end].strip()
+        fields[name] = (m.end(), stop)
     for required in ("support", "claim"):
         if required not in fields:
             raise ParseError(f"argument {arg_id}: missing field {required!r}", line, 1)
@@ -161,14 +171,18 @@ def _parse_block(kind: str, arg_id: str, body: str, line: int) -> StructuredArgu
                     f"argument {arg_id}: deductive arguments take no {forbidden!r}",
                     line, 1,
                 )
-    support = _parse_formula_list(fields["support"], arg_id, line)
-    claim = _parse_field_formula(fields["claim"], arg_id, line)
+    support = _parse_formula_list(text, fields["support"], arg_id)
+    claim = _parse_field_formula(text, fields["claim"], arg_id)
     try:
         if kind == "deductive":
             return StructuredArgument.deductive(arg_id, support, claim)
-        added = _parse_formula_list(fields.get("added_support", ""), arg_id, line)
+        added = (
+            _parse_formula_list(text, fields["added_support"], arg_id)
+            if "added_support" in fields
+            else ()
+        )
         full = (
-            _parse_field_formula(fields["full_claim"], arg_id, line)
+            _parse_field_formula(text, fields["full_claim"], arg_id)
             if "full_claim" in fields
             else None
         )
@@ -177,21 +191,30 @@ def _parse_block(kind: str, arg_id: str, body: str, line: int) -> StructuredArgu
         raise ParseError(str(exc), line, 1) from None
 
 
-def _parse_formula_list(text: str, arg_id: str, line: int) -> tuple[Formula, ...]:
+def _parse_formula_list(text: str, span: tuple[int, int], arg_id: str) -> tuple[Formula, ...]:
+    """The `;`-separated formulas of `text[span[0]:span[1]]`."""
     out = []
-    for part in text.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        out.append(_parse_field_formula(part, arg_id, line))
+    pos, stop = span
+    for part in text[pos:stop].split(";"):
+        if part.strip():
+            out.append(_parse_field_formula(text, (pos, pos + len(part)), arg_id))
+        pos += len(part) + 1
     return tuple(out)
 
 
-def _parse_field_formula(text: str, arg_id: str, line: int) -> Formula:
+def _parse_field_formula(text: str, span: tuple[int, int], arg_id: str) -> Formula:
+    """The formula `text[span[0]:span[1]]`; an error is reported at its line
+    and column in `text`."""
+    part = text[span[0]: span[1]]
+    stripped = part.strip()
     try:
-        return parse_formula(text)
+        return _parse_shared(stripped)
     except ParseError as exc:
-        raise ParseError(f"argument {arg_id}: {exc.message}", line, exc.col) from None
+        at = span[0] + len(part) - len(part.lstrip())  # where `stripped` starts
+        for _ in range(exc.line - 1):
+            at = text.index("\n", at) + 1
+        line, col = line_col(text, at + exc.col - 1)
+        raise ParseError(f"argument {arg_id}: {exc.message}", line, col) from None
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,17 @@ files hold one formula per line, blank lines ignored.  Nesting is bounded by
 Formulas are immutable trees of frozen dataclasses; equality, hashing and
 set membership are structural, and nothing is memoized on a node.
 
+Input files repeat their formula texts: the premises, rules and claims of a
+shared world come back in every framework, belief base, claim pool and
+certainty map of an agent.  So the file-format parsers
+(:func:`parse_formula_lines`, the fields of ``eaf.parse_eaf``,
+``structured.CertaintyMap.parse`` and the command line's ``args encode``)
+share one bounded memo from text to tree, and ``eaf.parse_eaf`` keeps whole
+framework files in another.  Errors are never kept.  :func:`parse_formula`
+and ``afrev.parse_goal`` stay plain: the formulas and goals given to them
+one at a time rarely repeat, and a memo there would cost memory and a lookup
+on every call for no hit.
+
 Semantic questions are answered on truth tables: over an atom order of width
 n, a formula compiles to one int of 2^n bits whose bit m is the formula's
 value under assignment m (``order[0]`` is the most significant bit of m), so
@@ -366,16 +377,32 @@ def parse_formula(text: str) -> Formula:
     return FormulaParser(scan(text)).parse()
 
 
+# Formula texts kept by `_parse_shared`: the premises, rules and claims that a
+# shared world repeats across one agent's frameworks, belief bases, claim
+# pools and certainty maps.
+_SHARED_FORMULAS = 256
+
+
+@lru_cache(maxsize=_SHARED_FORMULAS)
+def _parse_shared(text: str) -> Formula:
+    """:func:`parse_formula` for the formula texts of input files, parsed once
+    per process.  Trees are immutable, so every hit hands out the same one;
+    an error is raised afresh on every call, since `lru_cache` keeps none,
+    with its position in `text`."""
+    return parse_formula(text)
+
+
 def parse_formula_lines(text: str) -> tuple[Formula, ...]:
-    """Parse a belief-base style file: one formula per line, blanks ignored."""
+    """Parse a belief-base style file: one formula per line, blanks ignored.
+    Lines end at `\\n` only, as they do for :func:`scan`."""
     out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         body = raw.split("#", 1)[0]
         stripped = body.strip()
         if not stripped:
             continue
         try:
-            out.append(parse_formula(stripped))
+            out.append(_parse_shared(stripped))
         except ParseError as exc:
             lead = len(body) - len(body.lstrip())
             raise ParseError(exc.message, lineno, exc.col + lead) from None

@@ -28,10 +28,10 @@ from .prop import (
     Formula,
     ID_PATTERN,
     _Compiled,
+    _parse_shared,
     entails,
     format_formula,
     is_consistent,
-    parse_formula,
     subset_walk,
 )
 
@@ -164,9 +164,10 @@ class CertaintyMap:
 
     @classmethod
     def parse(cls, text: str) -> "CertaintyMap":
-        """Parse lines of the form `<rational in [0,1]> : <formula>`."""
+        """Parse lines of the form `<rational in [0,1]> : <formula>`; lines
+        end at `\\n` only, as they do for :func:`prop.scan`."""
         values: dict[Formula, Fraction] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        for lineno, raw in enumerate(text.split("\n"), start=1):
             body = raw.split("#", 1)[0]
             stripped = body.strip()
             if not stripped:
@@ -175,11 +176,12 @@ class CertaintyMap:
             if not sep:
                 raise ParseError("expected '<rational> : <formula>'", lineno, 1)
             value = parse_rational(head.strip(), lineno)
+            formula = rest.lstrip(" \t\r")  # the blanks `scan` skips
             try:
-                values[parse_formula(rest)] = value
+                values[_parse_shared(formula)] = value
             except ParseError as exc:
-                # `rest` starts just after the colon of the unstripped line
-                offset = len(body) - len(body.lstrip()) + len(head) + 1
+                # `formula` ends the line's stripped text, which starts past its blanks
+                offset = len(body) - len(body.lstrip()) + len(stripped) - len(formula)
                 raise ParseError(exc.message, lineno, exc.col + offset) from None
         return cls(values)
 

@@ -45,6 +45,18 @@ def test_parse_garbage():
         parse_af("arg(x) arg(y).")
 
 
+def test_parse_splits_lines_at_newlines_only():
+    assert parse_af("arg(a).\r\narg(b). # note\r\natt(a,b).\r\n") == parse_af(
+        "arg(a). arg(b). att(a,b)."
+    )
+    # a comment runs to the next `\n`, as in `scan`
+    for sep in ("\r", "\x0c", "\x85", "\u2028"):
+        assert parse_af(f"arg(a). # note{sep}arg(b).\narg(c).").arguments == ("a", "c")
+    with pytest.raises(ParseError) as info:
+        parse_af("arg(a).\x0c\nnonsense")
+    assert str(info.value) == "line 1, col 8: expected arg(...). or att(...,...)."
+
+
 def test_format_roundtrip(f1):
     assert parse_af(format_af(f1)) == f1
 

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import argent.eaf as eaf_module
+import argent.prop as prop
 from argent.cli import main
 from argent import Vocabulary, dalal_revise, models, parse_formula, variables
 from argent.prop import MAX_NESTING
@@ -355,6 +357,45 @@ def test_repeated_main_calls_match_fresh_runs(capsys, monkeypatch):
             code = main(argv)
             captured = capsys.readouterr()
             assert (code, captured.out, captured.err) == expected, argv
+
+
+@pytest.fixture
+def fresh_memos():
+    """Empty memos of parsed texts before and after the test."""
+    clear = (prop._parse_shared.cache_clear, eaf_module.parse_eaf.cache_clear)
+    for f in clear:
+        f()
+    yield
+    for f in clear:
+        f()
+
+
+def test_each_input_text_is_parsed_once(fresh_memos, capsys, monkeypatch):
+    parsed = []  # the token texts of every formula parser built, goals aside
+
+    class Counting(prop.FormulaParser):
+        def __init__(self, tokens):
+            super().__init__(tokens)
+            parsed.append(" ".join(tok.text for tok in tokens))
+
+    monkeypatch.setattr(prop, "FormulaParser", Counting)
+    f3 = ["--eaf", str(DATA / "f3.eaf"), "--goal", "acc(e1)"]
+    for argv in (
+        ["eaf", "classify", *f3[:2]],
+        ["eaf", "revise", *f3],
+        ["eaf", "acceptable", *f3, "--beliefs", str(DATA / "beliefs_completion.txt"),
+         "--claims", str(DATA / "claims_completion.txt")],
+    ):
+        assert main(argv) == 0
+    capsys.readouterr()
+    # 14 distinct formula texts in f3.eaf, 3 more in the belief file, 1 in the claims
+    assert len(parsed) == len(set(parsed)) == 18
+    assert eaf_module.parse_eaf.cache_info()[:2] == (2, 1)  # hits, misses
+    shared = prop._parse_shared.cache_info()
+    # parse_formula goes through no memo
+    assert parse_formula("fresh_a -> fresh_b") == parse_formula("fresh_a -> fresh_b")
+    assert len(parsed) == 20
+    assert prop._parse_shared.cache_info() == shared
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,57 @@ def test_parse_rejects_garbage():
         parse_eaf("deductive d { support: a claim: a } junk")
 
 
+# A formula error inside a block is reported at its line and column in the
+# file, comments, blanks and earlier fields of the block included.
+EAF_FORMULA_ERRORS = [
+    ("deductive d {\n  support: a\n  claim: b &\n}\n",
+     "line 3, col 13: argument d: unexpected end of input"),
+    ("deductive d { support: a ; $b  claim: b }",
+     "line 1, col 28: argument d: unexpected character '$'"),
+    ("deductive d { support: a ;\n   (b\n  claim: b }",
+     "line 2, col 6: argument d: expected ')'"),
+    ("deductive d { support: a # (\n ; b c  claim: b }",
+     "line 2, col 6: argument d: unexpected 'c'"),
+    ("deductive c { support: c claim: c }\r\nenthymeme d {\r\n  support: a\r\n"
+     "  claim: true\r\n  full_claim: (a |\r\n   -> b) }",
+     "line 6, col 4: argument d: unexpected '->'"),
+    ("enthymeme d { support: a  claim:  }",
+     "line 1, col 35: argument d: unexpected end of input"),
+]
+
+
+@pytest.mark.parametrize("text, want", EAF_FORMULA_ERRORS, ids=range(len(EAF_FORMULA_ERRORS)))
+def test_parse_reports_formula_errors_at_file_positions(text, want):
+    for _ in range(2):  # errors are never memoized
+        with pytest.raises(ParseError) as info:
+            parse_eaf(text)
+        assert str(info.value) == want
+
+
+def test_parse_error_positions_do_not_depend_on_earlier_parses():
+    # the same formula text, parsed well and badly elsewhere first
+    assert parse_formula_lines("b & c") == (p("b & c"),)
+    with pytest.raises(ParseError):
+        parse_formula_lines("b &")
+    for text, where in (
+        ("deductive d { support: b & c  claim: b & }", "line 1, col 41"),
+        ("\n\ndeductive d { support: b & c\n    claim: b & }", "line 4, col 15"),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_eaf(text)
+        assert str(info.value) == f"{where}: argument d: unexpected end of input"
+
+
+@pytest.mark.parametrize("sep", ("\r", "\x0c", "\u2028"), ids=repr)
+def test_parse_comments_run_to_newlines(sep):
+    text = f"deductive d {{ support: a  claim: a }}  # note{sep}att(d,d).\nattack(d,e)."
+    with pytest.raises(ParseError) as info:
+        parse_eaf(text)
+    assert str(info.value) == "line 2, col 1: expected an argument block or att(...,...)."
+    crlf = "deductive d {\r\n  support: a # note\r\n  claim: a\r\n}\r\natt(d,d).\r\n"
+    assert parse_eaf(crlf) == parse_eaf("deductive d { support: a claim: a } att(d,d).")
+
+
 # ---------------------------------------------------------------------------
 # Fixed and involved parts
 # ---------------------------------------------------------------------------

@@ -138,6 +138,30 @@ def test_parse_formula_lines_error_columns_count_from_line_start():
     assert str(info.value) == "line 1, col 7: unexpected character '$'"
 
 
+# Characters that `str.splitlines` breaks at and the scanner rejects.
+LINE_SEPARATORS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("sep", LINE_SEPARATORS, ids=map(repr, LINE_SEPARATORS))
+def test_parse_formula_lines_splits_at_newlines_only(sep):
+    # lines end where the scanner's do, so one text gives one error position
+    with pytest.raises(ParseError) as info:
+        parse_formula_lines(f"a{sep}b")
+    assert str(info.value) == f"line 1, col 2: unexpected character {sep!r}"
+    with pytest.raises(ParseError) as info:
+        parse_formula_lines(f"a{sep}\nb &")
+    assert str(info.value) == "line 2, col 4: unexpected end of input"
+
+
+def test_parse_formula_lines_carriage_returns():
+    assert parse_formula_lines("a -> b\r\n\r\n!b # note\r\n") == (p("a -> b"), p("!b"))
+    # a lone `\r` is a blank, as in `scan`, not a line break
+    with pytest.raises(ParseError) as info:
+        parse_formula_lines("a\rb")
+    assert str(info.value) == "line 1, col 3: unexpected 'b'"
+    assert parse_formula_lines("a # note\rb") == (p("a"),)
+
+
 # Each text's formula or error, with the line and column the scanner gives;
 # goals share the scanner (test_goal_errors_are_unchanged in test_afrev).
 FORMULA_TEXTS = [

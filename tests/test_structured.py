@@ -289,6 +289,23 @@ def test_certainty_map_parse_error_positions():
     assert str(info.value) == "line 2, col 13: unexpected character '$'"
 
 
+@pytest.mark.parametrize("sep", ("\x0c", "\x85", "\u2028"), ids=repr)
+def test_certainty_map_splits_at_newlines_only(sep):
+    with pytest.raises(ParseError) as info:
+        CertaintyMap.parse(f"1 : a{sep}b\n")
+    assert str(info.value) == f"line 1, col 6: unexpected character {sep!r}"
+    with pytest.raises(ParseError) as info:
+        CertaintyMap.parse(f"1 : a{sep}\n1/2 : b &\n")
+    assert str(info.value) == "line 2, col 10: unexpected end of input"
+
+
+def test_certainty_map_carriage_returns():
+    cm = CertaintyMap.parse("0.9 : rain -> umbrella\r\n# note\r\n1/4 : rain\r\n")
+    assert cm.values == {p("rain -> umbrella"): Fraction(9, 10), p("rain"): Fraction(1, 4)}
+    # a lone `\r` is a blank, as in `scan`: it ends no comment
+    assert CertaintyMap.parse("1 : a # note\r0.5 : b\n").values == {p("a"): Fraction(1)}
+
+
 def test_is_enthymeme_for():
     completed_e1 = StructuredArgument.deductive(
         "e1", (p("alpha"), p("alpha -> beta"), p("beta -> gamma")), p("gamma")
