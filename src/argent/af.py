@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import kernels
 from .errors import ParseError, ResourceLimitError, UnknownArgumentError
-from .prop import ID_PATTERN, IDENT
+from .prop import ID_PATTERN, IDENT, line_col
 
 
 @dataclass(frozen=True)
@@ -59,51 +59,43 @@ class ArgumentationFramework:
         return sorted(self.attacks, key=self.pair_key)
 
 
-_ARG_STMT = re.compile(rf"arg\s*\(\s*({IDENT})\s*\)\s*\.")
-ATT_STMT = re.compile(rf"att\s*\(\s*({IDENT})\s*,\s*({IDENT})\s*\)\s*\.")
+# The blanks of every statement format, inside statements and between them.
+_B = "[ \t\r\n]"
+_ATT = rf"att{_B}*\({_B}*(?P<src>{IDENT}){_B}*,{_B}*(?P<tgt>{IDENT}){_B}*\){_B}*\."
+_APX = re.compile(rf"arg{_B}*\({_B}*(?P<arg>{IDENT}){_B}*\){_B}*\.|{_ATT}")
+_BLANKS = re.compile(f"{_B}*")
+_COMMENT = re.compile(r"#[^\n]*")
 
 
-def strip_comments(text: str) -> str:
-    """`text` with every `#` comment removed; line breaks, which are `\\n`
-    only (as for :func:`prop.scan`), are kept."""
-    return "\n".join(line.split("#", 1)[0] for line in text.split("\n"))
-
-
-def line_col(text: str, pos: int) -> tuple[int, int]:
-    """1-based line and column of offset `pos` in `text`."""
-    line = text.count("\n", 0, pos) + 1
-    last = text.rfind("\n", 0, pos)
-    return line, pos - last
+def statements(text: str, pattern: re.Pattern, expected: str) -> Iterator[re.Match]:
+    """One match of `pattern` per statement of `text`, in order.  Comments
+    are cut first: each becomes blanks of its own length, so every offset in
+    a match's string is the same offset in `text`.  Text where no statement
+    starts is a :class:`ParseError` with message `expected` at its first
+    character."""
+    cut = _COMMENT.sub(lambda m: " " * len(m[0]), text)
+    pos = _BLANKS.match(cut).end()
+    while pos < len(cut):
+        m = pattern.match(cut, pos)
+        if m is None:
+            raise ParseError(expected, *line_col(cut, pos))
+        yield m
+        pos = _BLANKS.match(cut, m.end()).end()
 
 
 def parse_af(text: str) -> ArgumentationFramework:
     """Parse apx-style text: `arg(<id>).` and `att(<id>,<id>).` statements."""
-    stripped = strip_comments(text)
-    arguments: list[str] = []
+    arguments: dict[str, None] = {}
     attacks: list[tuple[str, str]] = []
-    pos = 0
-    n = len(stripped)
-    while pos < n:
-        if stripped[pos] in " \t\r\n":
-            pos += 1
-            continue
-        m = _ARG_STMT.match(stripped, pos)
-        if m:
-            arguments.append(m.group(1))
-            pos = m.end()
-            continue
-        m = ATT_STMT.match(stripped, pos)
-        if m:
-            attacks.append((m.group(1), m.group(2)))
-            pos = m.end()
-            continue
-        line, col = line_col(stripped, pos)
-        raise ParseError("expected arg(...). or att(...,...).", line, col)
-    if len(set(arguments)) != len(arguments):
-        raise ParseError("duplicate arg(...) declaration")
-    declared = set(arguments)
+    for m in statements(text, _APX, "expected arg(...). or att(...,...)."):
+        if m["arg"] is None:
+            attacks.append((m["src"], m["tgt"]))
+        elif m["arg"] in arguments:
+            raise ParseError("duplicate arg(...) declaration", *line_col(text, m.start()))
+        else:
+            arguments[m["arg"]] = None
     for src, tgt in attacks:
-        if src not in declared or tgt not in declared:
+        if src not in arguments or tgt not in arguments:
             raise UnknownArgumentError(f"att({src},{tgt}) uses an undeclared argument")
     return ArgumentationFramework(tuple(arguments), frozenset(attacks))
 

@@ -11,7 +11,6 @@ import argparse
 import json
 import sys
 from functools import cache
-from pathlib import Path
 
 from . import afrev, eaf as eaf_mod
 from .af import (
@@ -29,10 +28,11 @@ from .prop import (
     Vocabulary,
     _decode_bits,
     _model_table,
-    _parse_shared,
     format_formula,
     parse_formula,
     parse_formula_lines,
+    parse_list,
+    parse_span,
     variables,
 )
 from .revision import _dalal_table
@@ -55,6 +55,13 @@ class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _read(path: str) -> str:
+    """The text of the file at `path`, line ends untranslated, so that the
+    parsers see what they would be given as a string."""
+    with open(path, newline="") as f:
+        return f.read()
 
 
 def _vocab(vocab_flag, *formulas):
@@ -101,7 +108,7 @@ def cmd_revise_formula(ns) -> int:
 
 
 def cmd_stable(ns) -> int:
-    af = parse_af(Path(ns.af).read_text())
+    af = parse_af(_read(ns.af))
     exts = stable_extensions(af)
     report = skeptical_accepted(af)
     if ns.emit_structured:
@@ -132,7 +139,7 @@ def _print_outcome(outcome: RevisionOutcome, emit_structured: bool) -> int:
 
 
 def cmd_revise_af(ns) -> int:
-    af = parse_af(Path(ns.af).read_text())
+    af = parse_af(_read(ns.af))
     enc = AttAccVocabulary(af.arguments)
     goal = parse_goal(ns.goal, enc)
     constraint = parse_goal(ns.constraint, enc) if ns.constraint else None
@@ -147,7 +154,7 @@ def cmd_revise_af(ns) -> int:
 
 
 def cmd_eaf(ns) -> int:
-    framework = eaf_mod.parse_eaf(Path(ns.eaf).read_text())
+    framework = eaf_mod.parse_eaf(_read(ns.eaf))
     if ns.action == "classify":
         cls = eaf_mod.classify_attacks(framework)
         af = framework.to_af()
@@ -189,8 +196,8 @@ def cmd_eaf(ns) -> int:
     )
     if ns.action == "revise":
         return _print_outcome(outcome, ns.emit_structured)
-    base = parse_formula_lines(Path(ns.beliefs).read_text())
-    pool = parse_formula_lines(Path(ns.claims).read_text()) if ns.claims else ()
+    base = parse_formula_lines(_read(ns.beliefs))
+    pool = parse_formula_lines(_read(ns.claims)) if ns.claims else ()
     results = eaf_mod.acceptable_afs(framework, outcome, base, pool, max_added=ns.max_added)
     if ns.emit_structured:
         print(
@@ -229,8 +236,8 @@ def cmd_eaf(ns) -> int:
 
 def cmd_args(ns) -> int:
     if ns.action == "generate":
-        base = parse_formula_lines(Path(ns.beliefs).read_text())
-        pool = parse_formula_lines(Path(ns.claims).read_text())
+        base = parse_formula_lines(_read(ns.beliefs))
+        pool = parse_formula_lines(_read(ns.claims))
         af, table = exhaustive_graph(base, pool)
         if ns.emit_structured:
             print(
@@ -254,12 +261,10 @@ def cmd_args(ns) -> int:
         for src, tgt in af.sorted_attacks():
             print(f"att({src},{tgt}).")
         return EXIT_OK
-    support = tuple(
-        _parse_shared(part) for part in ns.support.split(";") if part.strip()
-    )
-    claim = _parse_shared(ns.claim)
+    support = parse_list(ns.support)
+    claim = parse_span(ns.claim)
     certainty = (
-        CertaintyMap.parse(Path(ns.certainty).read_text()) if ns.certainty else CertaintyMap()
+        CertaintyMap.parse(_read(ns.certainty)) if ns.certainty else CertaintyMap()
     )
     arg = StructuredArgument.deductive("a1", support, claim)
     enth = make_enthymeme(arg, certainty, parse_rational(ns.tau))

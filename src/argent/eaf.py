@@ -17,7 +17,12 @@ File format::
     enthymeme <id> { support: ...  claim: f  [added_support: ...]  [full_claim: f] }
     att(<id>,<id>).
 
-`full_claim` defaults to `claim`; `#` starts a comment.
+`full_claim` defaults to `claim`; `#` starts a comment running to the next
+`\n`.  Headers, field labels and attacks take space, tab, `\r` and `\n` as
+blanks, inside them and between them, on the command line as in the library
+(a lone `\r` included).  Every error is raised at its character: a field
+error at its label (a missing field at the block's `}`), a completion
+invariant at the argument identifier.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Sequence
 
-from .af import ATT_STMT, ArgumentationFramework, line_col, strip_comments
+from .af import _ATT, _B, ArgumentationFramework, statements
 from .afrev import ATT_ONLY, RevisionEntry, RevisionOutcome, parse_goal, revise_af
 from .encoding import AttAccVocabulary
 from .errors import ParseError, UnknownArgumentError
@@ -39,10 +44,12 @@ from .prop import (
     Var,
     _Compiled,
     _minimal_conflicts,
-    _parse_shared,
     conj,
     format_formula_set,
+    line_col,
     minimal_conflict_subsets,
+    parse_list,
+    parse_span,
 )
 from .structured import (
     DEDUCTIVE,
@@ -102,8 +109,11 @@ class EnthymemeAF:
 # Parsing
 # ---------------------------------------------------------------------------
 
-_HEADER_RE = re.compile(rf"(deductive|enthymeme)\s+({IDENT})\s*\{{")
-_FIELD_RE = re.compile(r"\b(support|claim|added_support|full_claim)\s*:")
+_EAF = re.compile(
+    rf"(?P<kind>{DEDUCTIVE}|{ENTHYMEME}){_B}+(?P<id>{IDENT}){_B}*\{{(?P<body>[^}}]*)(?P<close>\}})?"
+    rf"|{_ATT}"
+)
+_FIELD_RE = re.compile(rf"\b(support|claim|added_support|full_claim){_B}*:")
 
 
 # Framework files kept by `parse_eaf`: each command run on a framework
@@ -114,107 +124,55 @@ _SHARED_FRAMEWORKS = 32
 @lru_cache(maxsize=_SHARED_FRAMEWORKS)
 def parse_eaf(text: str) -> EnthymemeAF:
     """Parse the enthymeme-framework format; completed-enthymeme invariants are
-    checked and reported with the offending argument identifier.  A formula
-    error is reported at its line and column in `text`.
+    checked and reported at the offending argument's identifier.  Every error
+    is reported at its line and column in `text`.
 
     Parsed once per distinct text in a process: the framework is immutable,
     and an error is raised afresh on every call."""
-    stripped = strip_comments(text)
     arguments: list[StructuredArgument] = []
     attacks: list[tuple[str, str]] = []
-    pos = 0
-    n = len(stripped)
-    while pos < n:
-        if stripped[pos] in " \t\r\n":
-            pos += 1
-            continue
-        m = _HEADER_RE.match(stripped, pos)
-        if m:
-            close = stripped.find("}", m.end())
-            if close < 0:
-                line, col = line_col(stripped, pos)
-                raise ParseError("unterminated argument block", line, col)
-            arguments.append(_parse_block(m.group(1), m.group(2), stripped, m.end(), close,
-                                          line_col(stripped, pos)[0]))
-            pos = close + 1
-            continue
-        m = ATT_STMT.match(stripped, pos)
-        if m:
-            attacks.append((m.group(1), m.group(2)))
-            pos = m.end()
-            continue
-        line, col = line_col(stripped, pos)
-        raise ParseError("expected an argument block or att(...,...).", line, col)
+    for m in statements(text, _EAF, "expected an argument block or att(...,...)."):
+        if m["src"] is not None:
+            attacks.append((m["src"], m["tgt"]))
+        elif m["close"] is None:
+            raise ParseError("unterminated argument block", *line_col(text, m.start()))
+        else:
+            arguments.append(_parse_block(m))
     return EnthymemeAF(tuple(arguments), frozenset(attacks))
 
 
-def _parse_block(
-    kind: str, arg_id: str, text: str, start: int, end: int, line: int
-) -> StructuredArgument:
-    """The argument whose block body is `text[start:end]`, its header on `line`."""
+def _parse_block(m: re.Match) -> StructuredArgument:
+    """The argument of the block statement `m`, read from its comment-cut text."""
+    kind, arg_id, text, (start, end) = m["kind"], m["id"], m.string, m.span("body")
     labels = list(_FIELD_RE.finditer(text, start, end))
-    if not labels or text[start: labels[0].start()].strip():
-        raise ParseError(f"argument {arg_id}: malformed field list", line, 1)
-    fields: dict[str, tuple[int, int]] = {}  # field name -> span of its value in `text`
-    for m, stop in zip(labels, [m.start() for m in labels[1:]] + [end]):
-        name = m.group(1)
-        if name in fields:
-            raise ParseError(f"argument {arg_id}: duplicate field {name!r}", line, 1)
-        fields[name] = (m.end(), stop)
-    for required in ("support", "claim"):
-        if required not in fields:
-            raise ParseError(f"argument {arg_id}: missing field {required!r}", line, 1)
-    if kind == "deductive":
-        for forbidden in ("added_support", "full_claim"):
-            if forbidden in fields:
-                raise ParseError(
-                    f"argument {arg_id}: deductive arguments take no {forbidden!r}",
-                    line, 1,
-                )
-    support = _parse_formula_list(text, fields["support"], arg_id)
-    claim = _parse_field_formula(text, fields["claim"], arg_id)
+    head = text[start: labels[0].start() if labels else end]
     try:
-        if kind == "deductive":
+        if not labels or head.strip():
+            at = start + len(head) - len(head.lstrip())  # the first non-blank character
+            raise ParseError("malformed field list", *line_col(text, at))
+        fields: dict[str, tuple[int, int]] = {}  # field name -> span of its value in `text`
+        for label, stop in zip(labels, [x.start() for x in labels[1:]] + [end]):
+            name = label[1]
+            if name in fields:
+                raise ParseError(f"duplicate field {name!r}", *line_col(text, label.start()))
+            if kind == DEDUCTIVE and name in ("added_support", "full_claim"):
+                raise ParseError(f"deductive arguments take no {name!r}",
+                                 *line_col(text, label.start()))
+            fields[name] = (label.end(), stop)
+        for required in ("support", "claim"):
+            if required not in fields:
+                raise ParseError(f"missing field {required!r}", *line_col(text, end))
+        support = parse_list(text, *fields["support"])
+        claim = parse_span(text, *fields["claim"])
+        if kind == DEDUCTIVE:
             return StructuredArgument.deductive(arg_id, support, claim)
-        added = (
-            _parse_formula_list(text, fields["added_support"], arg_id)
-            if "added_support" in fields
-            else ()
-        )
-        full = (
-            _parse_field_formula(text, fields["full_claim"], arg_id)
-            if "full_claim" in fields
-            else None
-        )
+        added = parse_list(text, *fields.get("added_support", (end, end)))
+        full = parse_span(text, *fields["full_claim"]) if "full_claim" in fields else None
         return StructuredArgument.enthymeme(arg_id, support, claim, added, full)
-    except ValueError as exc:
-        raise ParseError(str(exc), line, 1) from None
-
-
-def _parse_formula_list(text: str, span: tuple[int, int], arg_id: str) -> tuple[Formula, ...]:
-    """The `;`-separated formulas of `text[span[0]:span[1]]`."""
-    out = []
-    pos, stop = span
-    for part in text[pos:stop].split(";"):
-        if part.strip():
-            out.append(_parse_field_formula(text, (pos, pos + len(part)), arg_id))
-        pos += len(part) + 1
-    return tuple(out)
-
-
-def _parse_field_formula(text: str, span: tuple[int, int], arg_id: str) -> Formula:
-    """The formula `text[span[0]:span[1]]`; an error is reported at its line
-    and column in `text`."""
-    part = text[span[0]: span[1]]
-    stripped = part.strip()
-    try:
-        return _parse_shared(stripped)
     except ParseError as exc:
-        at = span[0] + len(part) - len(part.lstrip())  # where `stripped` starts
-        for _ in range(exc.line - 1):
-            at = text.index("\n", at) + 1
-        line, col = line_col(text, at + exc.col - 1)
-        raise ParseError(f"argument {arg_id}: {exc.message}", line, col) from None
+        raise ParseError(f"argument {arg_id}: {exc.message}", exc.line, exc.col) from None
+    except ValueError as exc:  # a completed-enthymeme invariant
+        raise ParseError(str(exc), *line_col(text, m.start("id"))) from None
 
 
 # ---------------------------------------------------------------------------

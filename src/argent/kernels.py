@@ -53,21 +53,29 @@ def _stable_leaves(packed, future, n: int, w: int, full: int):
             push((i + 1, chosen | 1 << i, grown, into))
 
 
+def _pack(att_cols, n: int, w: int) -> tuple[list[int], list[int]]:
+    """The `packed` and `future` ints of :func:`_stable_leaves` from bit
+    columns: bit c of `att_cols[i * n + j]` says whether i attacks j in
+    candidate c, and each candidate has a slot of `w` bits."""
+    packed = [0] * n
+    future = [0] * n
+    for i in range(n):
+        p = f = 0
+        for y in range(n):
+            p |= att_cols[i * n + y] << (y * w) | att_cols[y * n + i] << ((n + y) * w)
+            if y > i:
+                f |= att_cols[y * n + i]
+        packed[i] = p
+        future[i] = f
+    return packed, future
+
+
 def stable_masks(attacker_masks, n: int) -> list[int]:
     """All stable subset masks, ascending: :func:`_stable_leaves` for one
     framework, one bit per slot."""
     _check_count(n)
-    packed = [0] * n
-    future = [0] * n
-    for y in range(n):
-        m = attacker_masks[y]
-        packed[y] |= m << n
-        future[y] = 1 if m >> (y + 1) else 0
-        while m:
-            low = m & -m
-            packed[low.bit_length() - 1] |= 1 << y
-            m ^= low
-    return sorted(chosen for chosen, _ in _stable_leaves(packed, future, n, 1, 1))
+    cols = [attacker_masks[j] >> i & 1 for i in range(n) for j in range(n)]
+    return sorted(chosen for chosen, _ in _stable_leaves(*_pack(cols, n, 1), n, 1, 1))
 
 
 def acceptance_mask(attacker_masks, n: int) -> tuple[int, bool]:
@@ -96,16 +104,7 @@ def acceptance_columns(att_cols, n: int, full: int) -> tuple[list[int], int]:
     """
     _check_count(n)
     w = full.bit_length()
-    packed = [0] * n
-    future = [0] * n
-    for i in range(n):
-        p = f = 0
-        for y in range(n):
-            p |= att_cols[i * n + y] << (y * w) | att_cols[y * n + i] << ((n + y) * w)
-            if y > i:
-                f |= att_cols[y * n + i]
-        packed[i] = p
-        future[i] = f
+    packed, future = _pack(att_cols, n, w)
     found = 0
     rejected = [0] * n  # candidates with a stable extension omitting the argument
     for chosen, open_ in _stable_leaves(packed, future, n, w, full):

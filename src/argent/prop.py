@@ -15,11 +15,11 @@ shared world come back in every framework, belief base, claim pool and
 certainty map of an agent.  So the file-format parsers
 (:func:`parse_formula_lines`, the fields of ``eaf.parse_eaf``,
 ``structured.CertaintyMap.parse`` and the command line's ``args encode``)
-share one bounded memo from text to tree, and ``eaf.parse_eaf`` keeps whole
-framework files in another.  Errors are never kept.  :func:`parse_formula`
-and ``afrev.parse_goal`` stay plain: the formulas and goals given to them
-one at a time rarely repeat, and a memo there would cost memory and a lookup
-on every call for no hit.
+read each formula through :func:`parse_span` and its one bounded memo from
+text to tree, and ``eaf.parse_eaf`` keeps whole framework files in another.
+Errors are never kept.  :func:`parse_formula` and ``afrev.parse_goal`` stay
+plain: the formulas and goals given to them one at a time rarely repeat, and
+a memo there would cost memory and a lookup on every call for no hit.
 
 Semantic questions are answered on truth tables: over an atom order of width
 n, a formula compiles to one int of 2^n bits whose bit m is the formula's
@@ -392,21 +392,56 @@ def _parse_shared(text: str) -> Formula:
     return parse_formula(text)
 
 
-def parse_formula_lines(text: str) -> tuple[Formula, ...]:
-    """Parse a belief-base style file: one formula per line, blanks ignored.
-    Lines end at `\\n` only, as they do for :func:`scan`."""
+def line_col(text: str, pos: int) -> tuple[int, int]:
+    """1-based line and column of offset `pos` in `text`."""
+    line = text.count("\n", 0, pos) + 1
+    last = text.rfind("\n", 0, pos)
+    return line, pos - last
+
+
+def parse_span(text: str, start: int = 0, stop: int | None = None) -> Formula:
+    """The formula `text[start:stop]`, stripped of blanks and read through the
+    shared memo; an error is raised at its line and column in `text`."""
+    part = text[start:stop]
+    body = part.strip()
+    try:
+        return _parse_shared(body)
+    except ParseError as exc:
+        at = start + len(part) - len(part.lstrip())  # where `body` starts
+        for _ in range(exc.line - 1):
+            at = text.index("\n", at) + 1
+        raise ParseError(exc.message, *line_col(text, at + exc.col - 1)) from None
+
+
+def parse_list(text: str, start: int = 0, stop: int | None = None) -> tuple[Formula, ...]:
+    """The `;`-separated formulas of `text[start:stop]`, blank items skipped."""
     out = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        body = raw.split("#", 1)[0]
-        stripped = body.strip()
-        if not stripped:
-            continue
-        try:
-            out.append(_parse_shared(stripped))
-        except ParseError as exc:
-            lead = len(body) - len(body.lstrip())
-            raise ParseError(exc.message, lineno, exc.col + lead) from None
+    for part in text[start:stop].split(";"):
+        if part.strip():
+            out.append(parse_span(text, start, start + len(part)))
+        start += len(part) + 1
     return tuple(out)
+
+
+def text_lines(text: str) -> list[tuple[int, int]]:
+    """The spans of the non-blank lines of `text`, each cut at its `#` comment
+    and stripped of blanks.  Lines end at `\\n` only, as they do for
+    :func:`scan`."""
+    spans = []
+    start = 0
+    for line in text.split("\n"):
+        body = line.split("#", 1)[0]
+        stripped = body.strip()
+        if stripped:
+            at = start + len(body) - len(body.lstrip())
+            spans.append((at, at + len(stripped)))
+        start += len(line) + 1
+    return spans
+
+
+def parse_formula_lines(text: str) -> tuple[Formula, ...]:
+    """Parse a belief-base style file: one formula per line, blanks ignored."""
+    return tuple(parse_span(text, start, stop) for start, stop in text_lines(text))
 
 
 # ---------------------------------------------------------------------------

@@ -28,11 +28,13 @@ from .prop import (
     Formula,
     ID_PATTERN,
     _Compiled,
-    _parse_shared,
     entails,
     format_formula,
     is_consistent,
+    line_col,
+    parse_span,
     subset_walk,
+    text_lines,
 )
 
 DEDUCTIVE = "deductive"
@@ -164,35 +166,25 @@ class CertaintyMap:
 
     @classmethod
     def parse(cls, text: str) -> "CertaintyMap":
-        """Parse lines of the form `<rational in [0,1]> : <formula>`; lines
-        end at `\\n` only, as they do for :func:`prop.scan`."""
+        """Parse lines of the form `<rational in [0,1]> : <formula>` (see
+        :func:`prop.text_lines`)."""
         values: dict[Formula, Fraction] = {}
-        for lineno, raw in enumerate(text.split("\n"), start=1):
-            body = raw.split("#", 1)[0]
-            stripped = body.strip()
-            if not stripped:
-                continue
-            head, sep, rest = stripped.partition(":")
-            if not sep:
-                raise ParseError("expected '<rational> : <formula>'", lineno, 1)
-            value = parse_rational(head.strip(), lineno)
-            formula = rest.lstrip(" \t\r")  # the blanks `scan` skips
-            try:
-                values[_parse_shared(formula)] = value
-            except ParseError as exc:
-                # `formula` ends the line's stripped text, which starts past its blanks
-                offset = len(body) - len(body.lstrip()) + len(stripped) - len(formula)
-                raise ParseError(exc.message, lineno, exc.col + offset) from None
+        for start, stop in text_lines(text):
+            colon = text.find(":", start, stop)
+            if colon < 0:
+                raise ParseError("expected '<rational> : <formula>'", *line_col(text, start))
+            value = parse_rational(text[start:colon].strip(), *line_col(text, start))
+            values[parse_span(text, colon + 1, stop)] = value
         return cls(values)
 
 
-def parse_rational(text: str, line: int | None = None) -> Fraction:
-    """`text` as a Fraction, or a ParseError (at column 1 of `line`, when
+def parse_rational(text: str, line: int | None = None, col: int | None = None) -> Fraction:
+    """`text` as a Fraction, or a ParseError (at `line` and `col`, when
     given) for text that is not a rational, such as '1/0'."""
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {text!r}", line, None if line is None else 1) from None
+        raise ParseError(f"bad rational {text!r}", line, col) from None
 
 
 @dataclass(frozen=True)

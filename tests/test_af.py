@@ -57,6 +57,22 @@ def test_parse_splits_lines_at_newlines_only():
     assert str(info.value) == "line 1, col 8: expected arg(...). or att(...,...)."
 
 
+# Each statement error is raised at the first character of its statement.
+AF_STATEMENT_ERRORS = [
+    ("arg(a).\n  arg(b). arg(a).", "line 2, col 11: duplicate arg(...) declaration"),
+    # inside a statement the blanks are those between statements: no form feed
+    ("arg(a). arg(b). att(a,\x0cb).", "line 1, col 17: expected arg(...). or att(...,...)."),
+    ("arg(a).\x0carg(b).", "line 1, col 8: expected arg(...). or att(...,...)."),
+]
+
+
+@pytest.mark.parametrize("text, want", AF_STATEMENT_ERRORS, ids=range(len(AF_STATEMENT_ERRORS)))
+def test_parse_errors_point_at_their_statement(text, want):
+    with pytest.raises(ParseError) as info:
+        parse_af(text)
+    assert str(info.value) == want
+
+
 def test_format_roundtrip(f1):
     assert parse_af(format_af(f1)) == f1
 

@@ -11,7 +11,7 @@ import pytest
 import argent.eaf as eaf_module
 import argent.prop as prop
 from argent.cli import main
-from argent import Vocabulary, dalal_revise, models, parse_formula, variables
+from argent import Vocabulary, dalal_revise, models, parse_af, parse_formula, variables
 from argent.prop import MAX_NESTING
 from conftest import DATA
 
@@ -437,6 +437,32 @@ def test_bad_tau_exits_2(capsys, tmp_path):
     certainty.write_text("1/0 : a\n")
     code, out, err = run_err(capsys, *argv, "--certainty", str(certainty))
     assert (code, out, err) == (2, "", "error: line 1, col 1: bad rational '1/0'\n")
+
+
+def test_support_errors_count_columns_in_the_whole_flag(capsys):
+    code, out, err = run_err(capsys, "args", "encode", "--support", "a ; b &", "--claim", "b")
+    assert (code, out, err) == (2, "", "error: line 1, col 8: unexpected end of input\n")
+
+
+def test_files_are_read_with_their_line_ends(capsys, tmp_path):
+    # a lone `\r` is a blank, as for the library parsers: the comment runs on
+    text = "arg(a). # c\rarg(b).\n"
+    path = tmp_path / "cr.apx"
+    path.write_bytes(text.encode())
+    assert parse_af(text).arguments == ("a",)
+    assert run(capsys, "stable", str(path)) == (0, "extensions: 1\n{a}\nskeptical: {a}\nvacuous: false\n")
+    # `\r\n` files give the output of their `\n` originals, byte for byte
+    for name in ("f3.eaf", "beliefs_completion.txt", "claims_completion.txt"):
+        (tmp_path / name).write_bytes((DATA / name).read_bytes().replace(b"\n", b"\r\n"))
+    for action in ("classify", "acceptable"):
+        argv = ["eaf", action, "--goal", "acc(e1)", "--emit-structured"]
+        outputs = [
+            run(capsys, *argv, "--eaf", str(d / "f3.eaf"),
+                "--beliefs", str(d / "beliefs_completion.txt"),
+                "--claims", str(d / "claims_completion.txt"))
+            for d in (DATA, tmp_path)
+        ]
+        assert outputs[0][0] == 0 and outputs[0] == outputs[1]
 
 
 def test_library_error_exits_2(capsys, monkeypatch):

@@ -115,6 +115,35 @@ def test_parse_error_positions_do_not_depend_on_earlier_parses():
         assert str(info.value) == f"{where}: argument d: unexpected end of input"
 
 
+# Every block error is raised at its character: a field label, the block's
+# closing brace, the argument identifier or the start of the statement.
+EAF_BLOCK_ERRORS = [
+    ("deductive d {\n  x support: a claim: a }", "line 2, col 3: argument d: malformed field list"),
+    ("deductive d {\n   }", "line 2, col 4: argument d: malformed field list"),
+    ("deductive d { support: a claim: a\n  support: b }",
+     "line 2, col 3: argument d: duplicate field 'support'"),
+    ("deductive d { support: a\n  full_claim: a claim: a }",
+     "line 2, col 3: argument d: deductive arguments take no 'full_claim'"),
+    ("deductive d { support: a # claim: a\n  }", "line 2, col 3: argument d: missing field 'claim'"),
+    ("enthymeme e { support: a  claim: true\n added_support: !a }",
+     "line 1, col 11: e: completed support is inconsistent"),
+    ("\n  enthymeme e { support: a", "line 2, col 3: unterminated argument block"),
+    # inside a statement the blanks are those between statements: no form feed
+    ("deductive\x0ca1 { support: a claim: a }",
+     "line 1, col 1: expected an argument block or att(...,...)."),
+    ("deductive d { support: a claim: a } att(d,\x0cd).",
+     "line 1, col 37: expected an argument block or att(...,...)."),
+    ("deductive d { support\x0c: a claim: a }", "line 1, col 15: argument d: malformed field list"),
+]
+
+
+@pytest.mark.parametrize("text, want", EAF_BLOCK_ERRORS, ids=range(len(EAF_BLOCK_ERRORS)))
+def test_parse_reports_block_errors_at_their_characters(text, want):
+    with pytest.raises(ParseError) as info:
+        parse_eaf(text)
+    assert str(info.value) == want
+
+
 @pytest.mark.parametrize("sep", ("\r", "\x0c", "\u2028"), ids=repr)
 def test_parse_comments_run_to_newlines(sep):
     text = f"deductive d {{ support: a  claim: a }}  # note{sep}att(d,d).\nattack(d,e)."

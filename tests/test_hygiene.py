@@ -2,6 +2,7 @@
 every private module-level name of the package is read somewhere in it."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -75,3 +76,25 @@ def test_scan_sees_dead_and_read_private_names():
 def test_no_dead_private_names():
     sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+def traced_names() -> list[tuple[str, str]]:
+    """The ``(module, function)`` pairs of ``TRACED`` in the benchmark's
+    layer tracer, read from its source without importing it."""
+    source = (PACKAGE.parents[1] / "argbench" / "layers.py").read_text()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError("no TRACED tuple in argbench/layers.py")
+
+
+def test_traced_names_resolve():
+    # the traced run patches each pair by name, so each must stay defined
+    pairs = traced_names()
+    assert pairs
+    for module, function in pairs:
+        assert callable(getattr(importlib.import_module(f"argent.{module}"), function, None)), (
+            f"argent.{module}.{function}"
+        )

@@ -3,8 +3,12 @@
 The command-line tool maps `ArgentError` subclasses and `ValueError` to exit
 code 2, so no other exception may escape a parser, whatever the text.  Each
 text is parsed twice: the file-format parsers read through memos of parsed
-texts, which must neither keep an error nor change a result.
+texts, which must neither keep an error nor change a result.  Every
+`ParseError` of a file parser must point at its character in the text.
 """
+
+import ast
+import re
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -13,6 +17,7 @@ from argent import (
     ArgentError,
     AttAccVocabulary,
     CertaintyMap,
+    ParseError,
     parse_af,
     parse_eaf,
     parse_formula,
@@ -57,3 +62,37 @@ def outcome(parse, text):
 def test_parsers_raise_only_documented_errors(text):
     for parse in PARSERS:
         assert outcome(parse, text) == outcome(parse, text)
+
+
+FILE_PARSERS = (parse_formula_lines, CertaintyMap.parse, parse_af, parse_eaf)
+
+
+def check_position(text, exc):
+    """The error's line and column lie in `text` (or just past a line's end),
+    and an unexpected character or a bad rational is found there."""
+    lines = text.split("\n")
+    assert exc.line is not None and 1 <= exc.line <= len(lines), exc
+    line = lines[exc.line - 1]
+    assert 1 <= exc.col <= len(line) + 1, exc
+    rest = line[exc.col - 1:]
+    if m := re.search(r"unexpected character (.+)$", exc.message):
+        assert rest[:1] == ast.literal_eval(m[1]), exc
+    if m := re.search(r"bad rational (.+)$", exc.message):
+        assert rest.startswith(ast.literal_eval(m[1])), exc
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.lists(st.sampled_from(TOKENS), max_size=40).map("".join))
+@example("arg(a).\n  arg(b). arg(a).")
+@example("deductive d { support: a claim: a\n  support: b }")
+@example("enthymeme e { support: a  claim: true\n added_support: !a }")
+@example("1 : a\n  1/0 : b\n\t c")
+@example("deductive d { support: a ;\n   $b  claim: b }")
+def test_every_parse_error_points_at_its_character(text):
+    for parse in FILE_PARSERS:
+        try:
+            parse(text)
+        except ParseError as exc:
+            check_position(text, exc)
+        except (ArgentError, ValueError):
+            pass

@@ -289,6 +289,18 @@ def test_certainty_map_parse_error_positions():
     assert str(info.value) == "line 2, col 13: unexpected character '$'"
 
 
+def test_certainty_map_line_errors_point_at_their_text():
+    # a bad rational and a line without `:` are raised where the line's text starts
+    with pytest.raises(ParseError) as info:
+        CertaintyMap.parse("1 : a\n  1/0 : b\n")
+    assert str(info.value) == "line 2, col 3: bad rational '1/0'"
+    with pytest.raises(ParseError) as info:
+        CertaintyMap.parse("1 : a\n\t b\n")
+    assert str(info.value) == "line 2, col 3: expected '<rational> : <formula>'"
+    # the formula is stripped of the blanks a belief line is
+    assert CertaintyMap.parse("1 :\x0ca\x0c\n").values == {p("a"): Fraction(1)}
+
+
 @pytest.mark.parametrize("sep", ("\x0c", "\x85", "\u2028"), ids=repr)
 def test_certainty_map_splits_at_newlines_only(sep):
     with pytest.raises(ParseError) as info:
