@@ -5,104 +5,77 @@ Layers, bottom up: propositional logic (`prop`), model-based revision
 propositional encoding (`encoding`), framework revision (`afrev`), deductive
 arguments and enthymemes (`structured`), enthymeme-based frameworks with
 attack classification and acceptability (`eaf`), and the command line (`cli`).
+
+Importing the package loads none of them (PEP 562): each public name, and
+each layer read as an attribute (`argent.kernels.BACKEND`), imports its
+module on first use and is then an ordinary attribute of the package.  So
+`argent.parse_af` loads only `af`, `errors` and `kernels`, and
+`argent.parse_formula` adds `prop`.
 """
 
-from .af import (
-    AcceptanceReport,
-    ArgumentationFramework,
-    ExtensionSet,
-    format_af,
-    is_stable,
-    parse_af,
-    skeptical_accepted,
-    stable_extensions,
-)
-from .afrev import (
-    ATT_ONLY,
-    ATT_WEIGHTED,
-    DALAL,
-    MODES,
-    RevisionEntry,
-    RevisionOutcome,
-    format_outcome,
-    mode_weights,
-    outcome_to_dict,
-    parse_goal,
-    revise_af,
-)
-from .eaf import (
-    AcceptabilityResult,
-    AttackClassification,
-    EnthymemeAF,
-    acceptable_afs,
-    classify_attacks,
-    constraint_certain,
-    constraint_deductive,
-    fixed_part,
-    involved_parts,
-    parse_eaf,
-    revise_eaf,
-)
-from .encoding import (
-    AttAccVocabulary,
-    canonical_model,
-    decode,
-    decoded_acceptance,
-    emit_stable_encoding,
-    satisfies_theory,
-    stable_fixpoint_formula,
-    theory_models,
-)
-from .errors import (
-    ArgentError,
-    ParseError,
-    ResourceLimitError,
-    UnknownArgumentError,
-    VocabularyMismatchError,
-)
-from .prop import (
-    And,
-    Const,
-    FALSE,
-    Formula,
-    Iff,
-    Implies,
-    Interpretation,
-    Not,
-    Or,
-    TRUE,
-    Var,
-    Vocabulary,
-    entails,
-    evaluate,
-    format_formula,
-    format_interpretation,
-    is_consistent,
-    minimal_conflict_subsets,
-    models,
-    parse_formula,
-    parse_formula_lines,
-    variables,
-)
-from .revision import (
-    DistanceProfile,
-    WeightMap,
-    dalal_revise,
-    hamming,
-    minimal_models,
-    weighted_distance,
-)
-from .structured import (
-    CertaintyMap,
-    DeductiveReport,
-    StructuredArgument,
-    added_support_is_tight,
-    complete_enthymeme,
-    exhaustive_graph,
-    is_defeater,
-    is_enthymeme_for,
-    make_enthymeme,
-    validate_deductive,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# The layers served as attributes; `cli` is imported by name (`argent.cli`).
+_LAYERS = ("af", "afrev", "eaf", "encoding", "errors", "kernels", "prop", "revision",
+           "structured")
+
+# Each public name, by the module that defines it.
+_EXPORTS = {
+    "af": (
+        "AcceptanceReport", "ArgumentationFramework", "ExtensionSet", "format_af",
+        "is_stable", "parse_af", "skeptical_accepted", "stable_extensions",
+    ),
+    "afrev": (
+        "ATT_ONLY", "ATT_WEIGHTED", "DALAL", "MODES", "RevisionEntry", "RevisionOutcome",
+        "format_outcome", "mode_weights", "outcome_to_dict", "parse_goal", "revise_af",
+    ),
+    "eaf": (
+        "AcceptabilityResult", "AttackClassification", "EnthymemeAF", "acceptable_afs",
+        "classify_attacks", "constraint_certain", "constraint_deductive", "fixed_part",
+        "involved_parts", "parse_eaf", "revise_eaf",
+    ),
+    "encoding": (
+        "AttAccVocabulary", "canonical_model", "decode", "decoded_acceptance",
+        "emit_stable_encoding", "satisfies_theory", "stable_fixpoint_formula",
+        "theory_models",
+    ),
+    "errors": (
+        "ArgentError", "ParseError", "ResourceLimitError", "UnknownArgumentError",
+        "VocabularyMismatchError",
+    ),
+    "prop": (
+        "And", "Const", "FALSE", "Formula", "Iff", "Implies", "Interpretation", "Not",
+        "Or", "TRUE", "Var", "Vocabulary", "entails", "evaluate", "format_formula",
+        "format_interpretation", "is_consistent", "minimal_conflict_subsets", "models",
+        "parse_formula", "parse_formula_lines", "variables",
+    ),
+    "revision": (
+        "DistanceProfile", "WeightMap", "dalal_revise", "hamming", "minimal_models",
+        "weighted_distance",
+    ),
+    "structured": (
+        "CertaintyMap", "DeductiveReport", "StructuredArgument", "added_support_is_tight",
+        "complete_enthymeme", "exhaustive_graph", "is_defeater", "is_enthymeme_for",
+        "make_enthymeme", "validate_deductive",
+    ),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_OWNER, *_LAYERS])
+
+
+def __getattr__(name):
+    if name in _OWNER:
+        value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+    elif name in _LAYERS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value  # later reads are plain attribute hits
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

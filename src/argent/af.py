@@ -9,11 +9,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 from . import kernels
-from .errors import ParseError, ResourceLimitError, UnknownArgumentError
-from .prop import ID_PATTERN, IDENT, line_col
+from .errors import (
+    ID_PATTERN,
+    IDENT,
+    ParseError,
+    ResourceLimitError,
+    UnknownArgumentError,
+    line_col,
+)
 
 
 @dataclass(frozen=True)
@@ -86,18 +92,27 @@ def statements(text: str, pattern: re.Pattern, expected: str) -> Iterator[re.Mat
 def parse_af(text: str) -> ArgumentationFramework:
     """Parse apx-style text: `arg(<id>).` and `att(<id>,<id>).` statements."""
     arguments: dict[str, None] = {}
-    attacks: list[tuple[str, str]] = []
+    attacks: list[re.Match] = []
     for m in statements(text, _APX, "expected arg(...). or att(...,...)."):
         if m["arg"] is None:
-            attacks.append((m["src"], m["tgt"]))
+            attacks.append(m)
         elif m["arg"] in arguments:
             raise ParseError("duplicate arg(...) declaration", *line_col(text, m.start()))
         else:
             arguments[m["arg"]] = None
-    for src, tgt in attacks:
-        if src not in arguments or tgt not in arguments:
-            raise UnknownArgumentError(f"att({src},{tgt}) uses an undeclared argument")
-    return ArgumentationFramework(tuple(arguments), frozenset(attacks))
+    check_declared(attacks, arguments)
+    pairs = frozenset(m.group("src", "tgt") for m in attacks)
+    return ArgumentationFramework(tuple(arguments), pairs)
+
+
+def check_declared(attacks: Iterable[re.Match], declared: Container[str]) -> None:
+    """Raise :class:`UnknownArgumentError` at the first endpoint of the
+    `att(...)` statement matches `attacks`, in order, that `declared` lacks."""
+    for m in attacks:
+        for end in ("src", "tgt"):
+            if m[end] not in declared:
+                raise UnknownArgumentError(f"undeclared argument {m[end]!r}",
+                                           *line_col(m.string, m.start(end)))
 
 
 def format_af(af: ArgumentationFramework) -> str:

@@ -50,10 +50,9 @@ from .encoding import (
     pin_att_units,
     scan_candidates,
 )
-from .errors import ParseError, ResourceLimitError, UnknownArgumentError
+from .errors import IDENT, ParseError, ResourceLimitError, UnknownArgumentError
 from .prop import (
     ENUMERATION_LIMIT,
-    IDENT,
     TRUE,
     And,
     AtomToken,

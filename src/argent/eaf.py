@@ -22,7 +22,8 @@ File format::
 blanks, inside them and between them, on the command line as in the library
 (a lone `\r` included).  Every error is raised at its character: a field
 error at its label (a missing field at the block's `}`), a completion
-invariant at the argument identifier.
+invariant or a repeated identifier at the argument identifier, an attack on
+an undeclared argument at that argument's name.
 """
 
 from __future__ import annotations
@@ -32,12 +33,11 @@ from dataclasses import dataclass
 from functools import cache, lru_cache
 from typing import Sequence
 
-from .af import _ATT, _B, ArgumentationFramework, statements
+from .af import _ATT, _B, ArgumentationFramework, check_declared, statements
 from .afrev import ATT_ONLY, RevisionEntry, RevisionOutcome, parse_goal, revise_af
 from .encoding import AttAccVocabulary
-from .errors import ParseError, UnknownArgumentError
+from .errors import IDENT, ParseError, UnknownArgumentError, line_col
 from .prop import (
-    IDENT,
     Formula,
     Not,
     TRUE,
@@ -46,7 +46,6 @@ from .prop import (
     _minimal_conflicts,
     conj,
     format_formula_set,
-    line_col,
     minimal_conflict_subsets,
     parse_list,
     parse_span,
@@ -130,15 +129,24 @@ def parse_eaf(text: str) -> EnthymemeAF:
     Parsed once per distinct text in a process: the framework is immutable,
     and an error is raised afresh on every call."""
     arguments: list[StructuredArgument] = []
-    attacks: list[tuple[str, str]] = []
+    blocks: list[re.Match] = []
+    attacks: list[re.Match] = []
     for m in statements(text, _EAF, "expected an argument block or att(...,...)."):
         if m["src"] is not None:
-            attacks.append((m["src"], m["tgt"]))
+            attacks.append(m)
         elif m["close"] is None:
             raise ParseError("unterminated argument block", *line_col(text, m.start()))
         else:
             arguments.append(_parse_block(m))
-    return EnthymemeAF(tuple(arguments), frozenset(attacks))
+            blocks.append(m)
+    declared: set[str] = set()
+    for m in blocks:
+        if m["id"] in declared:
+            raise ParseError(f"duplicate argument identifier {m['id']!r}",
+                             *line_col(text, m.start("id")))
+        declared.add(m["id"])
+    check_declared(attacks, declared)
+    return EnthymemeAF(tuple(arguments), frozenset(m.group("src", "tgt") for m in attacks))
 
 
 def _parse_block(m: re.Match) -> StructuredArgument:

@@ -52,10 +52,14 @@ from functools import lru_cache
 from operator import is_
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ParseError, ResourceLimitError, VocabularyMismatchError
-
-IDENT = r"[a-z][a-zA-Z0-9_]*"
-ID_PATTERN = re.compile(IDENT + r"\Z")
+from .errors import (
+    ID_PATTERN,
+    IDENT,
+    ParseError,
+    ResourceLimitError,
+    VocabularyMismatchError,
+    line_col,
+)
 
 # Widest truth table built, in atoms (a table over n atoms is an int of 2^n
 # bits); beyond it `satisfiable` switches to unit propagation and splitting,
@@ -390,13 +394,6 @@ def _parse_shared(text: str) -> Formula:
     an error is raised afresh on every call, since `lru_cache` keeps none,
     with its position in `text`."""
     return parse_formula(text)
-
-
-def line_col(text: str, pos: int) -> tuple[int, int]:
-    """1-based line and column of offset `pos` in `text`."""
-    line = text.count("\n", 0, pos) + 1
-    last = text.rfind("\n", 0, pos)
-    return line, pos - last
 
 
 def parse_span(text: str, start: int = 0, stop: int | None = None) -> Formula:

@@ -23,15 +23,13 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .af import ArgumentationFramework
-from .errors import ParseError, ResourceLimitError
+from .errors import ID_PATTERN, ParseError, ResourceLimitError, line_col
 from .prop import (
     Formula,
-    ID_PATTERN,
     _Compiled,
     entails,
     format_formula,
     is_consistent,
-    line_col,
     parse_span,
     subset_walk,
     text_lines,

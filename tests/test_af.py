@@ -34,8 +34,12 @@ def test_parse_f1(f1):
 
 
 def test_parse_undeclared_attack():
-    with pytest.raises(UnknownArgumentError):
+    with pytest.raises(UnknownArgumentError) as info:
         parse_af("att(x,y).")
+    assert str(info.value) == "line 1, col 5: undeclared argument 'x'"
+    with pytest.raises(UnknownArgumentError) as info:
+        parse_af("arg(a).\n att( a , z ). att(b,a).")
+    assert str(info.value) == "line 2, col 11: undeclared argument 'z'"
 
 
 def test_parse_garbage():

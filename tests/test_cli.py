@@ -428,6 +428,16 @@ def test_value_error_exits_2(capsys):
     assert err == "error: duplicate variable name: 'a'\n"
 
 
+def test_undeclared_and_repeated_arguments_exit_2_at_their_names(capsys, tmp_path):
+    apx, eaf = tmp_path / "f.apx", tmp_path / "f.eaf"
+    apx.write_text("arg(a).\natt(a,z).\n")
+    eaf.write_text("deductive d { support: a claim: a }\ndeductive d { support: b claim: b }\n")
+    assert run_err(capsys, "stable", str(apx)) == (
+        2, "", "error: line 2, col 7: undeclared argument 'z'\n")
+    assert run_err(capsys, "eaf", "classify", "--eaf", str(eaf)) == (
+        2, "", "error: line 2, col 11: duplicate argument identifier 'd'\n")
+
+
 def test_bad_tau_exits_2(capsys, tmp_path):
     # --tau goes through the certainty files' rational check
     argv = ("args", "encode", "--support", "a ; a -> b", "--claim", "b")

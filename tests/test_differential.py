@@ -10,6 +10,7 @@ acceptability witness candidates against their definition through
 made with every test an `is_consistent` or `entails` call.
 """
 
+import re
 from itertools import combinations
 
 import pytest
@@ -52,7 +53,15 @@ from argent import (
 )
 from argent.eaf import _witness_candidates
 from argent.prop import _CACHED_WIDTH, neg, subset_walk
-from conftest import DATA, oracle_acceptance, oracle_revision_solutions
+from conftest import (
+    DATA,
+    oracle_acceptability,
+    oracle_acceptance,
+    oracle_classification,
+    oracle_completions,
+    oracle_revision_solutions,
+    oracle_tight,
+)
 
 # ---------------------------------------------------------------------------
 # Argument construction
@@ -206,40 +215,6 @@ def test_exhaustive_graph_matches_subset_enumeration(base_pool):
     }
 
 
-def oracle_completions(e, base, pool, max_added, strict):
-    """(added, full claim) of every completion, by added size then position,
-    pool claims before the transmitted one."""
-    fixed = list(e.fixed_support)
-    extra = [f for f in dict.fromkeys(base) if f not in fixed]
-    claims = list(dict.fromkeys([*pool, e.fixed_claim]))
-    found = []
-    for r in range(min(max_added, len(extra)) + 1):
-        for added in combinations(extra, r):
-            support = fixed + list(added)
-            if not is_consistent(support):
-                continue
-            for claim in claims:
-                if not (entails(support, claim) and entails([claim], e.fixed_claim)):
-                    continue
-                if strict and any(
-                    entails(support[:i] + support[i + 1:], claim) for i in range(len(support))
-                ):
-                    continue
-                found.append((added, claim))
-    return found
-
-
-def oracle_tight(arg):
-    """No proper subset of the added support, with the transmitted support,
-    still entails the full claim."""
-    added = arg.added_support
-    return not any(
-        entails(arg.fixed_support + sub, arg.full_claim)
-        for r in range(len(added))
-        for sub in combinations(added, r)
-    )
-
-
 @settings(max_examples=100)
 @given(
     st.lists(formulas(), max_size=2),
@@ -260,7 +235,8 @@ def test_complete_enthymeme_matches_subset_enumeration(fixed, claim, base_pool, 
     for c in found:
         assert (c.id, c.kind, c.fixed_support) == ("e", "enthymeme", e.fixed_support)
         assert c.fixed_claim == claim
-        assert added_support_is_tight(c) == oracle_tight(c)
+        tight = oracle_tight(c.fixed_support, c.added_support, c.full_claim)
+        assert added_support_is_tight(c) == tight
 
 
 def oracle_witness_candidates(arg, base, pool, max_added):
@@ -380,6 +356,77 @@ def enthymeme_frameworks(draw):
 def test_tables_match_wide_path(case, max_added):
     eaf, base, pool, flips = case
     assert_tables_match_wide_path(eaf, base, pool, flips, max_added)
+
+
+# ---------------------------------------------------------------------------
+# Classification and acceptability against their definitions
+# ---------------------------------------------------------------------------
+
+NOTE = re.compile(r"attack \((\w+),(\w+)\): certain via fixed-part conflict \{.*\} of (\w+); ")
+
+
+def assert_classification_matches_oracle(eaf):
+    cls = classify_attacks(eaf)
+    certain, questionable, core, warnings, noted = oracle_classification(eaf)
+    assert (cls.certain, cls.questionable, cls.deductive_core) == (certain, questionable, core)
+    assert list(cls.warnings) == warnings
+    assert [NOTE.match(note).groups() for note in cls.notes] == noted
+
+
+def assert_acceptability_matches_oracle(eaf, base, pool, flips, max_added):
+    outcome = flipped_outcome(eaf, flips)
+    results = acceptable_afs(eaf, outcome, base, pool, max_added)
+    got = [
+        (r.acceptable, {aid: (c.added_support, c.full_claim) for aid, c in r.witness.items()})
+        for r in results
+    ]
+    assert got == [
+        oracle_acceptability(eaf, entry.af.attacks, base, pool, max_added)
+        for entry in outcome.entries
+    ]
+    assert all((r.reason is None) == r.acceptable for r in results)
+
+
+@pytest.mark.parametrize("name", ["f3", "f6", "media_a1", "media_a2", "media_a3"])
+@pytest.mark.parametrize("beliefs", ["completion", "rebuttal"])
+def test_classification_and_acceptability_match_definitions_on_data(name, beliefs):
+    eaf = parse_eaf((DATA / f"{name}.eaf").read_text())
+    base = parse_formula_lines((DATA / f"beliefs_{beliefs}.txt").read_text())
+    pool = parse_formula_lines((DATA / f"claims_{beliefs}.txt").read_text())
+    assert_classification_matches_oracle(eaf)
+    flips = [[(x, y)] for x in eaf.ids for y in eaf.ids]
+    assert_acceptability_matches_oracle(eaf, base, pool, flips, 3)
+
+
+# A certain attack whose enthymeme also conflicts outside its fixed part (by
+# its full claim), which carries a note; drawn frameworks seldom have one.
+NOTED = EnthymemeAF(
+    (
+        StructuredArgument.enthymeme("e", [P], TRUE, [Implies(P, Not(Q))], Not(Q)),
+        StructuredArgument.deductive("d", [Q, Not(P)], Q),
+    ),
+    frozenset({("e", "d"), ("d", "e")}),
+)
+
+
+@settings(max_examples=60)
+@given(enthymeme_frameworks())
+@example((NOTED, [], [], []))
+def test_classify_attacks_matches_definition(case):
+    assert_classification_matches_oracle(case[0])
+
+
+@settings(max_examples=40)
+@given(enthymeme_frameworks(), st.integers(0, 2))
+def test_acceptable_afs_matches_definition(case, max_added):
+    eaf, base, pool, flips = case
+    # Negated contents in the base, claimed by the pool, let recompletions
+    # make and break conflicts.  Every pair is flipped alone, and the drawn
+    # pairs all at once, so that several enthymemes can need a witness.
+    base = base + [neg(f) for a in eaf.arguments for f in a.content][:3]
+    pool = pool + base[-3:]
+    flips = [[(x, y)] for x in eaf.ids for y in eaf.ids] + [[p for pairs in flips for p in pairs]]
+    assert_acceptability_matches_oracle(eaf, base, pool, flips, max_added)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from argent import (
     ParseError,
     StructuredArgument,
     TRUE,
+    UnknownArgumentError,
     acceptable_afs,
     classify_attacks,
     complete_enthymeme,
@@ -134,6 +135,8 @@ EAF_BLOCK_ERRORS = [
     ("deductive d { support: a claim: a } att(d,\x0cd).",
      "line 1, col 37: expected an argument block or att(...,...)."),
     ("deductive d { support\x0c: a claim: a }", "line 1, col 15: argument d: malformed field list"),
+    ("deductive d { support: a claim: a }\n  enthymeme d { support: b claim: b }",
+     "line 2, col 13: duplicate argument identifier 'd'"),
 ]
 
 
@@ -142,6 +145,14 @@ def test_parse_reports_block_errors_at_their_characters(text, want):
     with pytest.raises(ParseError) as info:
         parse_eaf(text)
     assert str(info.value) == want
+
+
+def test_parse_reports_undeclared_arguments_at_their_names():
+    # after every statement is read, in the order of the attacks
+    text = "att(d,\n  zz). deductive d { support: a claim: a } att(y,d)."
+    with pytest.raises(UnknownArgumentError) as info:
+        parse_eaf(text)
+    assert str(info.value) == "line 2, col 3: undeclared argument 'zz'"
 
 
 @pytest.mark.parametrize("sep", ("\r", "\x0c", "\u2028"), ids=repr)

@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import run_fresh
+
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "argent"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -98,3 +100,11 @@ def test_traced_names_resolve():
         assert callable(getattr(importlib.import_module(f"argent.{module}"), function, None)), (
             f"argent.{module}.{function}"
         )
+
+
+def test_cli_import_loads_every_traced_layer():
+    # the traced run looks each layer up in sys.modules after importing only
+    # `argent` and `argent.cli`, and reads `argent.kernels.BACKEND`
+    loaded = run_fresh("import argent, argent.cli\nprint(json.dumps(loaded()))")
+    wanted = {f"argent.{module}" for module, _ in traced_names()} | {"argent.kernels"}
+    assert wanted <= set(loaded)

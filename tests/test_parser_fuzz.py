@@ -4,7 +4,8 @@ The command-line tool maps `ArgentError` subclasses and `ValueError` to exit
 code 2, so no other exception may escape a parser, whatever the text.  Each
 text is parsed twice: the file-format parsers read through memos of parsed
 texts, which must neither keep an error nor change a result.  Every
-`ParseError` of a file parser must point at its character in the text.
+`ParseError` or `UnknownArgumentError` of a file parser must point at its
+character in the text.
 """
 
 import ast
@@ -18,6 +19,7 @@ from argent import (
     AttAccVocabulary,
     CertaintyMap,
     ParseError,
+    UnknownArgumentError,
     parse_af,
     parse_eaf,
     parse_formula,
@@ -69,7 +71,8 @@ FILE_PARSERS = (parse_formula_lines, CertaintyMap.parse, parse_af, parse_eaf)
 
 def check_position(text, exc):
     """The error's line and column lie in `text` (or just past a line's end),
-    and an unexpected character or a bad rational is found there."""
+    and an unexpected character, a bad rational or a named argument is found
+    there."""
     lines = text.split("\n")
     assert exc.line is not None and 1 <= exc.line <= len(lines), exc
     line = lines[exc.line - 1]
@@ -79,6 +82,8 @@ def check_position(text, exc):
         assert rest[:1] == ast.literal_eval(m[1]), exc
     if m := re.search(r"bad rational (.+)$", exc.message):
         assert rest.startswith(ast.literal_eval(m[1])), exc
+    if m := re.fullmatch(r"(undeclared argument|duplicate argument identifier) (.+)", exc.message):
+        assert re.match(rf"{re.escape(ast.literal_eval(m[2]))}\b", rest), exc
 
 
 @settings(max_examples=300, derandomize=True)
@@ -88,11 +93,14 @@ def check_position(text, exc):
 @example("enthymeme e { support: a  claim: true\n added_support: !a }")
 @example("1 : a\n  1/0 : b\n\t c")
 @example("deductive d { support: a ;\n   $b  claim: b }")
+@example("arg(a).\n  att(a, z).")
+@example("deductive d { support: a claim: a }\n  deductive d { support: b claim: b }")
+@example("deductive d { support: a claim: a }\n  att(d,\tzz).")
 def test_every_parse_error_points_at_its_character(text):
     for parse in FILE_PARSERS:
         try:
             parse(text)
-        except ParseError as exc:
+        except (ParseError, UnknownArgumentError) as exc:
             check_position(text, exc)
         except (ArgentError, ValueError):
             pass
