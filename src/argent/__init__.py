@@ -13,7 +13,7 @@ module on first use and is then an ordinary attribute of the package.  So
 `argent.parse_formula` adds `prop`.
 """
 
-import importlib
+import sys
 
 __version__ = "0.1.0"
 
@@ -66,11 +66,18 @@ _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted([*_OWNER, *_LAYERS])
 
 
+def _layer(module):
+    # `__import__` rather than `importlib.import_module`, whose path
+    # `python -X importtime` does not log: import profiles name each layer.
+    __import__(f"{__name__}.{module}")
+    return sys.modules[f"{__name__}.{module}"]
+
+
 def __getattr__(name):
     if name in _OWNER:
-        value = getattr(importlib.import_module(f".{_OWNER[name]}", __name__), name)
+        value = getattr(_layer(_OWNER[name]), name)
     elif name in _LAYERS:
-        value = importlib.import_module(f".{name}", __name__)
+        value = _layer(name)
     else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value  # later reads are plain attribute hits

@@ -8,7 +8,6 @@ cross-validation of kernel output when extension sets are constructed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Container, Iterable, Iterator
 
 from . import kernels
@@ -16,22 +15,21 @@ from .errors import (
     ID_PATTERN,
     IDENT,
     ParseError,
+    Record,
     ResourceLimitError,
     UnknownArgumentError,
     line_col,
 )
 
 
-@dataclass(frozen=True)
-class ArgumentationFramework:
+class ArgumentationFramework(Record):
     """Directed attack graph over named arguments."""
 
-    arguments: tuple[str, ...]
-    attacks: frozenset[tuple[str, str]]
+    _fields = ("arguments", "attacks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "arguments", tuple(self.arguments))
-        object.__setattr__(self, "attacks", frozenset(self.attacks))
+    def __init__(self, arguments: Iterable[str], attacks: Iterable[tuple[str, str]]):
+        object.__setattr__(self, "arguments", tuple(arguments))
+        object.__setattr__(self, "attacks", frozenset(attacks))
         seen = set()
         for arg in self.arguments:
             if not ID_PATTERN.match(arg):
@@ -158,16 +156,16 @@ def _mask_to_set(af: ArgumentationFramework, mask: int) -> frozenset[str]:
     return frozenset(a for i, a in enumerate(af.arguments) if (mask >> i) & 1)
 
 
-@dataclass(frozen=True)
-class ExtensionSet:
+class ExtensionSet(Record):
     """Stable extensions of one framework; each member re-checked on construction."""
 
-    af: ArgumentationFramework
-    extensions: tuple[frozenset[str], ...]
+    _fields = ("af", "extensions")
 
-    def __post_init__(self):
-        for ext in self.extensions:
-            if not is_stable(self.af, ext):
+    def __init__(self, af: ArgumentationFramework, extensions: tuple[frozenset[str], ...]):
+        object.__setattr__(self, "af", af)
+        object.__setattr__(self, "extensions", extensions)
+        for ext in extensions:
+            if not is_stable(af, ext):
                 raise ValueError(f"not a stable extension: {sorted(ext)}")
 
     def __iter__(self):
@@ -180,13 +178,15 @@ class ExtensionSet:
         return set(self.extensions)
 
 
-@dataclass(frozen=True)
-class AcceptanceReport:
+class AcceptanceReport(Record):
     """Skeptically accepted arguments; `vacuous` marks the no-extension case,
     in which every argument counts as accepted."""
 
-    accepted: frozenset[str]
-    vacuous: bool
+    _fields = ("accepted", "vacuous")
+
+    def __init__(self, accepted: frozenset[str], vacuous: bool):
+        object.__setattr__(self, "accepted", accepted)
+        object.__setattr__(self, "vacuous", vacuous)
 
 
 def stable_extensions(af: ArgumentationFramework) -> ExtensionSet:

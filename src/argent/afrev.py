@@ -31,7 +31,6 @@ errors of a formula.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import comb
 from typing import Iterable
@@ -50,7 +49,7 @@ from .encoding import (
     pin_att_units,
     scan_candidates,
 )
-from .errors import IDENT, ParseError, ResourceLimitError, UnknownArgumentError
+from .errors import IDENT, ParseError, Record, ResourceLimitError, UnknownArgumentError
 from .prop import (
     ENUMERATION_LIMIT,
     TRUE,
@@ -147,24 +146,39 @@ def parse_goal(text: str, enc: AttAccVocabulary) -> Formula:
     return _GoalParser(scan(text, token_pattern(_GOAL_ATOM)), enc).parse()
 
 
-@dataclass(frozen=True)
-class RevisionEntry:
+class RevisionEntry(Record):
     """One distance-minimal revised framework with its change record."""
 
-    af: ArgumentationFramework
-    accepted: frozenset[str]
-    vacuous: bool
-    att_added: frozenset[tuple[str, str]]
-    att_removed: frozenset[tuple[str, str]]
-    acc_changed: frozenset[str]
-    total_weight: int
+    _fields = (
+        "af", "accepted", "vacuous", "att_added", "att_removed", "acc_changed", "total_weight",
+    )
+
+    def __init__(
+        self,
+        af: ArgumentationFramework,
+        accepted: frozenset[str],
+        vacuous: bool,
+        att_added: frozenset[tuple[str, str]],
+        att_removed: frozenset[tuple[str, str]],
+        acc_changed: frozenset[str],
+        total_weight: int,
+    ):
+        object.__setattr__(self, "af", af)
+        object.__setattr__(self, "accepted", accepted)
+        object.__setattr__(self, "vacuous", vacuous)
+        object.__setattr__(self, "att_added", att_added)
+        object.__setattr__(self, "att_removed", att_removed)
+        object.__setattr__(self, "acc_changed", acc_changed)
+        object.__setattr__(self, "total_weight", total_weight)
 
 
-@dataclass(frozen=True)
-class RevisionOutcome:
+class RevisionOutcome(Record):
     """Distance-minimal revised frameworks, canonically ordered by flip set."""
 
-    entries: tuple[RevisionEntry, ...]
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[RevisionEntry, ...]):
+        object.__setattr__(self, "entries", entries)
 
     def __iter__(self):
         return iter(self.entries)

@@ -65,8 +65,11 @@ def _read(path: str) -> str:
 
 
 def _vocab(vocab_flag, *formulas):
-    if vocab_flag:
-        return Vocabulary(tuple(s.strip() for s in vocab_flag.split(",")))
+    """The `--vocab` order when the flag is given (`""` is the empty
+    vocabulary), else the formulas' variables in sorted order."""
+    if vocab_flag is not None:
+        names = vocab_flag.split(",") if vocab_flag else ()
+        return Vocabulary(tuple(s.strip() for s in names))
     return Vocabulary(tuple(sorted(frozenset().union(*map(variables, formulas)))))
 
 

@@ -29,14 +29,13 @@ an undeclared argument at that argument's name.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .af import _ATT, _B, ArgumentationFramework, check_declared, statements
 from .afrev import ATT_ONLY, RevisionEntry, RevisionOutcome, parse_goal, revise_af
 from .encoding import AttAccVocabulary
-from .errors import IDENT, ParseError, UnknownArgumentError, line_col
+from .errors import IDENT, ParseError, Record, UnknownArgumentError, line_col
 from .prop import (
     Formula,
     Not,
@@ -60,16 +59,18 @@ from .structured import (
 )
 
 
-@dataclass(frozen=True)
-class EnthymemeAF:
+class EnthymemeAF(Record):
     """Structured arguments plus declared attacks."""
 
-    arguments: tuple[StructuredArgument, ...]
-    declared_attacks: frozenset[tuple[str, str]]
+    _fields = ("arguments", "declared_attacks")
 
-    def __post_init__(self):
-        object.__setattr__(self, "arguments", tuple(self.arguments))
-        object.__setattr__(self, "declared_attacks", frozenset(self.declared_attacks))
+    def __init__(
+        self,
+        arguments: Iterable[StructuredArgument],
+        declared_attacks: Iterable[tuple[str, str]],
+    ):
+        object.__setattr__(self, "arguments", tuple(arguments))
+        object.__setattr__(self, "declared_attacks", frozenset(declared_attacks))
         ids = [a.id for a in self.arguments]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate argument identifiers")
@@ -199,8 +200,7 @@ def involved_parts(a: StructuredArgument, b: StructuredArgument) -> list[tuple[F
     return minimal_conflict_subsets(a.content, b.content)
 
 
-@dataclass(frozen=True)
-class AttackClassification:
+class AttackClassification(Record):
     """Certain/questionable split of the declared attacks.
 
     `deductive_core` restricts the certain attacks to deductive endpoints.
@@ -209,11 +209,21 @@ class AttackClassification:
     witness among several.
     """
 
-    certain: frozenset[tuple[str, str]]
-    questionable: frozenset[tuple[str, str]]
-    deductive_core: frozenset[tuple[str, str]]
-    warnings: tuple[str, ...]
-    notes: tuple[str, ...]
+    _fields = ("certain", "questionable", "deductive_core", "warnings", "notes")
+
+    def __init__(
+        self,
+        certain: frozenset[tuple[str, str]],
+        questionable: frozenset[tuple[str, str]],
+        deductive_core: frozenset[tuple[str, str]],
+        warnings: tuple[str, ...],
+        notes: tuple[str, ...],
+    ):
+        object.__setattr__(self, "certain", certain)
+        object.__setattr__(self, "questionable", questionable)
+        object.__setattr__(self, "deductive_core", deductive_core)
+        object.__setattr__(self, "warnings", warnings)
+        object.__setattr__(self, "notes", notes)
 
 
 def classify_attacks(eaf: EnthymemeAF) -> AttackClassification:
@@ -337,15 +347,23 @@ def revise_eaf(
 # Acceptability
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AcceptabilityResult:
+class AcceptabilityResult(Record):
     """Verdict for one revision entry: a minimal recompletion witness when the
     changed attacks are justifiable, otherwise the blocking reason."""
 
-    entry: RevisionEntry
-    acceptable: bool
-    witness: dict[str, StructuredArgument]
-    reason: str | None
+    _fields = ("entry", "acceptable", "witness", "reason")
+
+    def __init__(
+        self,
+        entry: RevisionEntry,
+        acceptable: bool,
+        witness: dict[str, StructuredArgument],
+        reason: str | None,
+    ):
+        object.__setattr__(self, "entry", entry)
+        object.__setattr__(self, "acceptable", acceptable)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "reason", reason)
 
 
 def acceptable_afs(

@@ -7,8 +7,8 @@ formula.  ``#`` starts a comment running to the end of the line.  Belief-base
 files hold one formula per line, blank lines ignored.  Nesting is bounded by
 ``MAX_NESTING`` levels (see :class:`FormulaParser`).
 
-Formulas are immutable trees of frozen dataclasses; equality, hashing and
-set membership are structural, and nothing is memoized on a node.
+Formulas are immutable trees of records (``errors.Record``); equality,
+hashing and set membership are structural, and nothing is memoized on a node.
 
 Input files repeat their formula texts: the premises, rules and claims of a
 shared world come back in every framework, belief base, claim pool and
@@ -47,7 +47,6 @@ witness tests of ``structured`` and ``eaf``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import is_
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -55,7 +54,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .errors import (
     ID_PATTERN,
     IDENT,
+    MutableRecord,
     ParseError,
+    Record,
     ResourceLimitError,
     VocabularyMismatchError,
     line_col,
@@ -84,57 +85,67 @@ CONFLICT_CANDIDATE_LIMIT = 16
 SPLIT_NODE_LIMIT = 2**13
 
 
-class Formula:
-    """Base class for formula nodes.  Nodes are frozen dataclasses, so they
-    are immutable, and equality and hashing are structural."""
+class Formula(Record):
+    """Base class for formula nodes.  Nodes are records (`errors.Record`), so
+    they are immutable, and equality and hashing are structural."""
 
     def __str__(self) -> str:
         return format_formula(self)
 
 
-@dataclass(frozen=True)
 class Var(Formula):
-    name: str
+    _fields = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-@dataclass(frozen=True)
 class Const(Formula):
-    value: bool
+    _fields = ("value",)
+
+    def __init__(self, value: bool):
+        object.__setattr__(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    child: Formula
+    _fields = ("child",)
+
+    def __init__(self, child: Formula):
+        object.__setattr__(self, "child", child)
 
 
-@dataclass(frozen=True)
 class And(Formula):
-    children: tuple[Formula, ...]
+    _fields = ("children",)
 
-    def __post_init__(self):
-        if len(self.children) < 2:
+    def __init__(self, children: tuple[Formula, ...]):
+        object.__setattr__(self, "children", children)
+        if len(children) < 2:
             raise ValueError("And nodes need at least two children; use conj()")
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    children: tuple[Formula, ...]
+    _fields = ("children",)
 
-    def __post_init__(self):
-        if len(self.children) < 2:
+    def __init__(self, children: tuple[Formula, ...]):
+        object.__setattr__(self, "children", children)
+        if len(children) < 2:
             raise ValueError("Or nodes need at least two children; use disj()")
 
 
-@dataclass(frozen=True)
 class Implies(Formula):
-    left: Formula
-    right: Formula
+    _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Iff(Formula):
-    left: Formula
-    right: Formula
+    _fields = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
 
 TRUE = Const(True)
@@ -174,12 +185,14 @@ _PUNCT = {"(": "lparen", ")": "rparen", "&": "and", "|": "or", "!": "not", ",": 
 _OPERATORS = {"<->": "iff", "->": "implies", **_PUNCT}
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str
-    text: str
-    line: int
-    col: int
+class Token(MutableRecord):
+    __slots__ = _fields = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        self.kind = kind
+        self.text = text
+        self.line = line
+        self.col = col
 
 
 class AtomToken(Token):
@@ -710,16 +723,16 @@ def _decode_bits(
 # Vocabularies and interpretations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(Record):
     """Ordered, duplicate-free variable names; the order fixes model enumeration."""
 
-    names: tuple[str, ...]
+    _fields = ("names",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
+    def __init__(self, names: Iterable[str]):
+        names = tuple(names)
+        object.__setattr__(self, "names", names)
         seen = set()
-        for name in self.names:
+        for name in names:
             if not ID_PATTERN.match(name):
                 raise ValueError(f"bad variable name: {name!r}")
             if name in seen:
@@ -744,17 +757,17 @@ class Vocabulary:
         return self.names.index(name)
 
 
-@dataclass(frozen=True, slots=True)
-class Interpretation:
+class Interpretation(Record):
     """Truth assignment over a vocabulary, given by its set of true variables."""
 
-    vocabulary: Vocabulary
-    true_set: frozenset[str]
+    __slots__ = _fields = ("vocabulary", "true_set")
 
-    def __post_init__(self):
-        object.__setattr__(self, "true_set", frozenset(self.true_set))
-        if not self.true_set <= self.vocabulary.name_set:
-            extra = self.true_set - self.vocabulary.name_set
+    def __init__(self, vocabulary: Vocabulary, true_set: Iterable[str]):
+        true_set = frozenset(true_set)
+        object.__setattr__(self, "vocabulary", vocabulary)
+        object.__setattr__(self, "true_set", true_set)
+        if not true_set <= vocabulary.name_set:
+            extra = true_set - vocabulary.name_set
             raise VocabularyMismatchError(
                 f"true set mentions variables outside the vocabulary: {sorted(extra)}"
             )

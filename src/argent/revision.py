@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import VocabularyMismatchError
+from .errors import MutableRecord, Record, VocabularyMismatchError
 from .prop import (
     Formula,
     Interpretation,
@@ -18,14 +17,14 @@ from .prop import (
 )
 
 
-@dataclass
-class WeightMap:
+class WeightMap(MutableRecord):
     """Per-variable non-negative integer weights; unlisted names weigh `default`."""
 
-    weights: dict[str, int] = field(default_factory=dict)
-    default: int = 1
+    _fields = ("weights", "default")
 
-    def __post_init__(self):
+    def __init__(self, weights: dict[str, int] | None = None, default: int = 1):
+        self.weights = {} if weights is None else weights
+        self.default = default
         for name, w in self.weights.items():
             if not isinstance(w, int) or w < 0:
                 raise ValueError(f"weight of {name!r} must be a non-negative integer")
@@ -36,12 +35,14 @@ class WeightMap:
         return self.weights.get(name, self.default)
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
+class DistanceProfile(Record):
     """Total weighted distance together with the set of flipped variables."""
 
-    total: int
-    flips: frozenset[str]
+    _fields = ("total", "flips")
+
+    def __init__(self, total: int, flips: frozenset[str]):
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "flips", flips)
 
 
 def _check_shared_vocabulary(i: Interpretation, j: Interpretation) -> None:

@@ -17,13 +17,12 @@ float noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Sequence
 
 from .af import ArgumentationFramework
-from .errors import ID_PATTERN, ParseError, ResourceLimitError, line_col
+from .errors import ID_PATTERN, MutableRecord, ParseError, Record, ResourceLimitError, line_col
 from .prop import (
     Formula,
     _Compiled,
@@ -44,8 +43,7 @@ EXHAUSTIVE_BASE_LIMIT = 12
 _COMPLETION_SUPPORT_LIMIT = 2**EXHAUSTIVE_BASE_LIMIT
 
 
-@dataclass(frozen=True)
-class StructuredArgument:
+class StructuredArgument(Record):
     """Deductive argument or enthymeme.
 
     For deductive arguments the added support is empty and the full claim
@@ -54,18 +52,23 @@ class StructuredArgument:
     (transmitted) claim.
     """
 
-    id: str
-    kind: str
-    fixed_support: tuple[Formula, ...]
-    fixed_claim: Formula
-    added_support: tuple[Formula, ...] = ()
-    full_claim: Formula | None = None
+    _fields = ("id", "kind", "fixed_support", "fixed_claim", "added_support", "full_claim")
 
-    def __post_init__(self):
-        object.__setattr__(self, "fixed_support", tuple(self.fixed_support))
-        object.__setattr__(self, "added_support", tuple(self.added_support))
-        if self.full_claim is None:
-            object.__setattr__(self, "full_claim", self.fixed_claim)
+    def __init__(
+        self,
+        id: str,
+        kind: str,
+        fixed_support: Iterable[Formula],
+        fixed_claim: Formula,
+        added_support: Iterable[Formula] = (),
+        full_claim: Formula | None = None,
+    ):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "fixed_support", tuple(fixed_support))
+        object.__setattr__(self, "fixed_claim", fixed_claim)
+        object.__setattr__(self, "added_support", tuple(added_support))
+        object.__setattr__(self, "full_claim", fixed_claim if full_claim is None else full_claim)
         if not ID_PATTERN.match(self.id):
             raise ValueError(f"bad argument identifier: {self.id!r}")
         if self.kind not in (DEDUCTIVE, ENTHYMEME):
@@ -113,15 +116,12 @@ class StructuredArgument:
         a completion walk has just proved consistent and entailing: built
         without proving it again."""
         arg = object.__new__(cls)
-        for name, value in (
-            ("id", e.id),
-            ("kind", ENTHYMEME),
-            ("fixed_support", e.fixed_support),
-            ("fixed_claim", e.fixed_claim),
-            ("added_support", tuple(added)),
-            ("full_claim", full_claim),
-        ):
-            object.__setattr__(arg, name, value)
+        object.__setattr__(arg, "id", e.id)
+        object.__setattr__(arg, "kind", ENTHYMEME)
+        object.__setattr__(arg, "fixed_support", e.fixed_support)
+        object.__setattr__(arg, "fixed_claim", e.fixed_claim)
+        object.__setattr__(arg, "added_support", tuple(added))
+        object.__setattr__(arg, "full_claim", full_claim)
         return arg
 
     @property
@@ -148,13 +148,13 @@ BeliefBase = Sequence[Formula]
 ClaimPool = Sequence[Formula]
 
 
-@dataclass
-class CertaintyMap:
+class CertaintyMap(MutableRecord):
     """Rational certainty in [0,1] per formula; unmapped formulas default to 0."""
 
-    values: dict[Formula, Fraction] = field(default_factory=dict)
+    _fields = ("values",)
 
-    def __post_init__(self):
+    def __init__(self, values: dict[Formula, Fraction] | None = None):
+        self.values = {} if values is None else values
         for f, v in self.values.items():
             if not 0 <= v <= 1:
                 raise ValueError(f"certainty of {format_formula(f)} outside [0,1]: {v}")
@@ -185,16 +185,28 @@ def parse_rational(text: str, line: int | None = None, col: int | None = None) -
         raise ParseError(f"bad rational {text!r}", line, col) from None
 
 
-@dataclass(frozen=True)
-class DeductiveReport:
+class DeductiveReport(Record):
     """The four deductive-argument checks with their offending items."""
 
-    in_base: bool
-    consistent: bool
-    entails_claim: bool
-    minimal: bool
-    missing_from_base: tuple[Formula, ...] = ()
-    redundant: tuple[Formula, ...] = ()
+    _fields = (
+        "in_base", "consistent", "entails_claim", "minimal", "missing_from_base", "redundant",
+    )
+
+    def __init__(
+        self,
+        in_base: bool,
+        consistent: bool,
+        entails_claim: bool,
+        minimal: bool,
+        missing_from_base: tuple[Formula, ...] = (),
+        redundant: tuple[Formula, ...] = (),
+    ):
+        object.__setattr__(self, "in_base", in_base)
+        object.__setattr__(self, "consistent", consistent)
+        object.__setattr__(self, "entails_claim", entails_claim)
+        object.__setattr__(self, "minimal", minimal)
+        object.__setattr__(self, "missing_from_base", missing_from_base)
+        object.__setattr__(self, "redundant", redundant)
 
     @property
     def ok(self) -> bool:

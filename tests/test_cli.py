@@ -408,6 +408,21 @@ def run_err(capsys, *argv):
     return code, captured.out, captured.err
 
 
+@pytest.mark.parametrize("command, formulas", [
+    ("models", ["{}"]), ("revise-formula", ["--phi", "{}", "--alpha", "{}"]),
+])
+def test_empty_vocab_flag_is_the_empty_vocabulary(capsys, command, formulas):
+    # A given --vocab is never ignored: "" names no variable, " " and "," an empty one.
+    def argv(formula, vocab):
+        return [command, *(f.format(formula) for f in formulas), "--vocab", vocab]
+
+    outside = "error: formula uses variables outside the vocabulary: ['a']\n"
+    assert run_err(capsys, *argv("a", "")) == (2, "", outside)
+    for vocab in (" ", ","):
+        assert run_err(capsys, *argv("a", vocab)) == (2, "", "error: bad variable name: ''\n")
+    assert run_err(capsys, *argv("true", "")) == (0, "{}\n", "")
+
+
 def test_unknown_argument_exits_2(capsys):
     code, out, err = run_err(
         capsys, "revise-af", "--af", str(DATA / "f1.apx"), "--goal", "acc(nope)"

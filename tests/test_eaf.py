@@ -536,10 +536,10 @@ def test_witness_candidates_are_not_proved_twice(f3, monkeypatch):
             and (added, claim) != (arg.added_support, arg.full_claim)
         ]
 
-    def refuse(self):
+    def refuse(self, *args, **kwargs):
         raise AssertionError("a proved completion was proved again")
 
-    monkeypatch.setattr(StructuredArgument, "__post_init__", refuse)
+    monkeypatch.setattr(StructuredArgument, "__init__", refuse)
     for aid in f3.enthymeme_ids:
         assert eaf_module._witness_candidates(f3.argument_map[aid], base, pool, 3) == proved[aid]
     assert acceptable_afs(f3, out, base, pool) == expected

@@ -2,7 +2,11 @@
 public name or layer loads its module on first use.  Each check runs in a
 fresh interpreter, since this one has imported every layer already."""
 
-from conftest import run_fresh
+import subprocess
+import sys
+
+import pytest
+from conftest import DATA, SRC, run_fresh
 
 # Every name the package has exported since it imported its layers eagerly,
 # by the module that defines it.
@@ -105,3 +109,31 @@ def test_star_import_layers_and_errors_on_a_bare_import():
     assert starred == sorted([*(n for names in PUBLIC.values() for n in names), *PUBLIC, "kernels"])
     assert backend == "python"
     assert error == "module 'argent' has no attribute 'no_such_name'"
+
+
+def test_importtime_names_the_lazily_loaded_layers():
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", "-c",
+         f"import sys; sys.path.insert(0, {str(SRC)!r}); import argent; "
+         "argent.parse_af('arg(a). arg(b). att(a,b).')"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    # lines read "import time: <self> | <cumulative> | <indented module>"
+    logged = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()}
+    assert {"argent", "argent.af", "argent.kernels"} <= logged
+
+
+@pytest.mark.parametrize("entry", [
+    "import argent.cli",
+    "import argent; argent.parse_af('arg(a). arg(b). att(a,b).')",
+    "import argent; argent.parse_formula('a & !b')",
+    f"import argent; argent.parse_eaf(open({str(DATA / 'f3.eaf')!r}).read())",
+], ids=["cli", "parse_af", "parse_formula", "parse_eaf"])
+def test_no_entry_point_imports_dataclasses_or_inspect(entry):
+    # Both cost a fresh process milliseconds of imports; the records are
+    # plain classes (errors.Record).
+    assert run_fresh(
+        f"{entry}\n"
+        "print(json.dumps([m for m in ('dataclasses', 'inspect') if m in sys.modules]))\n"
+    ) == []
