@@ -88,7 +88,7 @@ class Record:
 
         cls._values = staticmethod(values)
         cls.__eq__ = __eq__
-        if cls.__hash__ is not None:  # a mutable record stays unhashable
+        if cls.__hash__ is object.__hash__:  # not unhashable, nor hashed by a base
             cls.__hash__ = __hash__
 
     def __repr__(self):

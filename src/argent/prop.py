@@ -89,6 +89,18 @@ class Formula(Record):
     """Base class for formula nodes.  Nodes are records (`errors.Record`), so
     they are immutable, and equality and hashing are structural."""
 
+    _hash = None
+
+    def __hash__(self):
+        # Parsed nodes are shared across queries and hashed again by each
+        # (argument contents, conflict sets); a node keeps its hash, that
+        # of its fields, after the first call.
+        h = self._hash
+        if h is None:
+            h = hash(self._values(self))
+            object.__setattr__(self, "_hash", h)
+        return h
+
     def __str__(self) -> str:
         return format_formula(self)
 
