@@ -41,15 +41,6 @@ class ArgumentationFramework(Record):
             if src not in seen or tgt not in seen:
                 raise UnknownArgumentError(f"attack ({src},{tgt}) uses an undeclared argument")
 
-    @classmethod
-    def _known(cls, arguments: tuple[str, ...], attacks: frozenset[tuple[str, str]]):
-        """The framework over parts already known to be valid: the argument
-        tuple of a checked framework and a frozenset of pairs over it."""
-        af = object.__new__(cls)
-        object.__setattr__(af, "arguments", arguments)
-        object.__setattr__(af, "attacks", attacks)
-        return af
-
     def index(self, arg: str) -> int:
         try:
             return self.arguments.index(arg)

@@ -323,7 +323,7 @@ def revise_af(
         removed = frozenset([pairs[p] for p in flips if base_att >> p & 1])
         entries.append(
             RevisionEntry(
-                af=ArgumentationFramework._known(args, af.attacks - removed | added),
+                af=ArgumentationFramework._trusted(args, af.attacks - removed | added),
                 accepted=_members(args, acc_mask),
                 vacuous=vacuous,
                 att_added=added,

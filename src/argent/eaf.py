@@ -447,7 +447,8 @@ def _witness_candidates(
     walked on `compiled` when it is given (see :func:`completion_walk`)."""
     current = (arg.added_support, arg.full_claim)
     return [arg] + [
-        StructuredArgument._proved(arg, added, claim)
+        StructuredArgument._trusted(arg.id, ENTHYMEME, arg.fixed_support, arg.fixed_claim,
+                                     added, claim)
         for added, claim, tight in completion_walk(arg, base, pool, max_added, compiled=compiled)
         if tight and (added or claim != arg.fixed_claim) and (added, claim) != current
     ]

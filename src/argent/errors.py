@@ -91,6 +91,15 @@ class Record:
         if cls.__hash__ is object.__hash__:  # not unhashable, nor hashed by a base
             cls.__hash__ = __hash__
 
+    @classmethod
+    def _trusted(cls, *values):
+        """The record with fields `values`, built without the checks of
+        `__init__`: for parts already known to be valid."""
+        record = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(record, name, value)
+        return record
+
     def __repr__(self):
         pairs = zip(self._fields, self._values(self))
         return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in pairs)})"

@@ -70,27 +70,29 @@ def _pack(att_cols, n: int, w: int) -> tuple[list[int], list[int]]:
     return packed, future
 
 
+def _att_columns(attacker_masks, n: int) -> list[int]:
+    """The att columns of :func:`_pack` for one framework, one bit each,
+    once its argument count is checked."""
+    _check_count(n)
+    return [attacker_masks[j] >> i & 1 for i in range(n) for j in range(n)]
+
+
 def stable_masks(attacker_masks, n: int) -> list[int]:
     """All stable subset masks, ascending: :func:`_stable_leaves` for one
     framework, one bit per slot."""
-    _check_count(n)
-    cols = [attacker_masks[j] >> i & 1 for i in range(n) for j in range(n)]
+    cols = _att_columns(attacker_masks, n)
     return sorted(chosen for chosen, _ in _stable_leaves(*_pack(cols, n, 1), n, 1, 1))
 
 
 def acceptance_mask(attacker_masks, n: int) -> tuple[int, bool]:
-    """Intersection mask of all stable extensions and a no-extension flag.
+    """Intersection mask of all stable extensions and a no-extension flag:
+    :func:`acceptance_columns` for one framework.
 
     With no stable extension the mask covers every argument and the flag is
     True (the vacuous-acceptance convention).
     """
-    masks = stable_masks(attacker_masks, n)
-    if not masks:
-        return (1 << n) - 1, True
-    acc = masks[0]
-    for m in masks[1:]:
-        acc &= m
-    return acc, False
+    accepted, vacuous = acceptance_columns(_att_columns(attacker_masks, n), n, 1)
+    return sum(bit << y for y, bit in enumerate(accepted)), vacuous == 1
 
 
 def acceptance_columns(att_cols, n: int, full: int) -> tuple[list[int], int]:

@@ -8,7 +8,8 @@ files hold one formula per line, blank lines ignored.  Nesting is bounded by
 ``MAX_NESTING`` levels (see :class:`FormulaParser`).
 
 Formulas are immutable trees of records (``errors.Record``); equality,
-hashing and set membership are structural, and nothing is memoized on a node.
+hashing and set membership are structural, and a node keeps only its hash,
+computed on the first call.
 
 Input files repeat their formula texts: the premises, rules and claims of a
 shared world come back in every framework, belief base, claim pool and
@@ -48,6 +49,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from math import comb
 from operator import is_
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -78,11 +80,13 @@ _CACHED_WIDTH = 12
 # recursion limit.
 MAX_NESTING = 100
 
-CONFLICT_CANDIDATE_LIMIT = 16
-
 # Most split nodes (conjunct lists searched) one `satisfiable` call above
 # ENUMERATION_LIMIT atoms may visit.
 SPLIT_NODE_LIMIT = 2**13
+
+# Most supports one subset walk may test (see `check_supports`): building a
+# base's arguments, completing an enthymeme or searching minimal conflicts.
+SUPPORT_LIMIT = 2**12
 
 
 class Formula(Record):
@@ -1069,6 +1073,18 @@ class _Compiled:
         return (state & claim) == state
 
 
+def check_supports(n: int, max_size: int) -> None:
+    """Refuse, with a ResourceLimitError, a walk over `n` distinct formulas
+    choosing at most `max_size` of them that could test more than
+    SUPPORT_LIMIT supports: the sum of C(n, k) over k up to `max_size`, which
+    is 2^n when `max_size` is at least `n`."""
+    count = 1 << n if max_size >= n else sum(comb(n, k) for k in range(max_size + 1))
+    if count > SUPPORT_LIMIT:
+        raise ResourceLimitError(
+            f"{count} supports over {n} formulas exceed the limit of {SUPPORT_LIMIT}"
+        )
+
+
 def subset_walk(
     fixed: Sequence[Formula],
     extra: Sequence[Formula],
@@ -1158,8 +1174,9 @@ def minimal_conflict_subsets(
     are listed by size, then lexicographically by candidate position: they
     are the minimally inconsistent supports of :func:`subset_walk` over the
     context.  If `context` alone is inconsistent the empty set is the unique
-    answer.  More than CONFLICT_CANDIDATE_LIMIT candidates trip the resource
-    guard.
+    answer.  A search that could test more than SUPPORT_LIMIT supports, over
+    more than 12 distinct candidates, is refused before any test (see
+    :func:`check_supports`).
     """
     return _minimal_conflicts(list(dict.fromkeys(candidates)), list(context))
 
@@ -1168,11 +1185,7 @@ def _minimal_conflicts(candidates, context, compiled: _Compiled | None = None):
     """:func:`minimal_conflict_subsets` of distinct `candidates`, tested on
     `compiled` when it is given; it must have been built from every
     candidate and context formula."""
-    if len(candidates) > CONFLICT_CANDIDATE_LIMIT:
-        raise ResourceLimitError(
-            f"{2 ** len(candidates)} supports over {len(candidates)} candidate formulas "
-            f"exceed the limit of {2 ** CONFLICT_CANDIDATE_LIMIT}"
-        )
+    check_supports(len(candidates), len(candidates))
     joint = [*candidates, *context]
     if compiled is None:
         compiled = _Compiled(joint)

@@ -17,15 +17,16 @@ float noise.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import comb
 from typing import Iterable, Sequence
 
 from .af import ArgumentationFramework
-from .errors import ID_PATTERN, MutableRecord, ParseError, Record, ResourceLimitError, line_col
+from .errors import ID_PATTERN, MutableRecord, ParseError, Record, line_col
 from .prop import (
     Formula,
     _Compiled,
+    check_supports,
     entails,
     format_formula,
     is_consistent,
@@ -36,11 +37,6 @@ from .prop import (
 
 DEDUCTIVE = "deductive"
 ENTHYMEME = "enthymeme"
-
-EXHAUSTIVE_BASE_LIMIT = 12
-# Most supports one walk may test: a completion walk, or the walk over every
-# subset of the base in `exhaustive_graph`.
-_COMPLETION_SUPPORT_LIMIT = 2**EXHAUSTIVE_BASE_LIMIT
 
 
 class StructuredArgument(Record):
@@ -108,22 +104,6 @@ class StructuredArgument(Record):
     ):
         return cls(arg_id, ENTHYMEME, tuple(support), claim, tuple(added), full_claim)
 
-    @classmethod
-    def _proved(
-        cls, e: "StructuredArgument", added: tuple[Formula, ...], full_claim: Formula
-    ) -> "StructuredArgument":
-        """The completion of enthymeme `e` by `added` and `full_claim`, which
-        a completion walk has just proved consistent and entailing: built
-        without proving it again."""
-        arg = object.__new__(cls)
-        object.__setattr__(arg, "id", e.id)
-        object.__setattr__(arg, "kind", ENTHYMEME)
-        object.__setattr__(arg, "fixed_support", e.fixed_support)
-        object.__setattr__(arg, "fixed_claim", e.fixed_claim)
-        object.__setattr__(arg, "added_support", tuple(added))
-        object.__setattr__(arg, "full_claim", full_claim)
-        return arg
-
     @property
     def support(self) -> tuple[Formula, ...]:
         return self.fixed_support + self.added_support
@@ -178,8 +158,15 @@ class CertaintyMap(MutableRecord):
 
 def parse_rational(text: str, line: int | None = None, col: int | None = None) -> Fraction:
     """`text` as a Fraction, or a ParseError (at `line` and `col`, when
-    given) for text that is not a rational, such as '1/0'."""
+    given) for text that is not a rational, such as '1/0', or whose exponent
+    exceeds the interpreter's int-string digit limit: `Fraction` would
+    expand it into an integer of that many digits."""
     try:
+        _, e, exponent = text.lower().rpartition("e")
+        if e and abs(int(exponent)) > (
+            sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        ):
+            raise ValueError
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"bad rational {text!r}", line, col) from None
@@ -266,14 +253,11 @@ def exhaustive_graph(
     under the defeater attack relation.
 
     Identifiers a1, a2, ... follow enumeration order: support subsets by size
-    then position, claims in pool order.
+    then position, claims in pool order.  A base of more than 12 distinct
+    formulas is refused before any test (see :func:`argent.prop.check_supports`).
     """
     base_c = list(dict.fromkeys(base))
-    if len(base_c) > EXHAUSTIVE_BASE_LIMIT:
-        raise ResourceLimitError(
-            f"{2 ** len(base_c)} supports over {len(base_c)} belief-base formulas exceed "
-            f"the limit of {_COMPLETION_SUPPORT_LIMIT}"
-        )
+    check_supports(len(base_c), len(base_c))
     pool_c = list(dict.fromkeys(pool))
     compiled = _Compiled([*base_c, *pool_c])
     args: list[StructuredArgument] = []
@@ -362,15 +346,11 @@ def completion_walk(
 
     Raises ValueError for a negative `max_added`, and ResourceLimitError,
     before any support is tested, when the walk could test more than
-    _COMPLETION_SUPPORT_LIMIT supports."""
+    SUPPORT_LIMIT supports (see :func:`argent.prop.check_supports`)."""
     check_max_added(max_added)
     transmitted = set(e.fixed_support)
     base_c = [f for f in dict.fromkeys(base) if f not in transmitted]
-    supports = sum(comb(len(base_c), k) for k in range(min(max_added, len(base_c)) + 1))
-    if supports > _COMPLETION_SUPPORT_LIMIT:
-        raise ResourceLimitError(
-            f"{supports} supports for {e.id} exceed the limit of {_COMPLETION_SUPPORT_LIMIT}"
-        )
+    check_supports(len(base_c), max_added)
     pool_c = list(dict.fromkeys([*pool, e.fixed_claim]))
     if compiled is None:
         compiled = _Compiled([*e.fixed_support, *base_c, *pool_c])

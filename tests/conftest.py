@@ -55,6 +55,16 @@ def run_fresh(code: str):
     return json.loads(done.stdout.splitlines()[-1])
 
 
+def conflict_eaf(n: int) -> str:
+    """An eaf file of two deductive arguments: x with the `n` formulas q0, ...,
+    q(n-1), and y, whose claim conflicts with all of them together and with
+    no fewer.  Classifying the file walks all 2^n subsets of x's content."""
+    atoms = [f"q{i}" for i in range(n)]
+    neg = " | ".join(f"!{q}" for q in atoms)
+    return (f"deductive x {{ support: {' ; '.join(atoms)}  claim: q0 }}\n"
+            f"deductive y {{ support: {neg}  claim: {neg} }}\natt(y,x).\n")
+
+
 @pytest.fixture(scope="session")
 def f1():
     return parse_af((DATA / "f1.apx").read_text())

@@ -13,7 +13,7 @@ import argent.prop as prop
 from argent.cli import main
 from argent import Vocabulary, dalal_revise, models, parse_af, parse_formula, variables
 from argent.prop import MAX_NESTING
-from conftest import DATA
+from conftest import DATA, conflict_eaf
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -287,8 +287,21 @@ def test_completion_guard_exit_code(tmp_path, capsys):
     argv = ["eaf", "acceptable", "--eaf", str(DATA / "f3.eaf"), "--goal", "acc(e1)",
             "--beliefs", str(beliefs), "--claims", str(claims), "--max-added"]
     assert main(argv + ["4"]) == 4
-    assert capsys.readouterr() == ("", "error: 17902 supports for e1 exceed the limit of 4096\n")
+    assert capsys.readouterr() == ("", "error: 17902 supports over 26 formulas exceed the limit of 4096\n")
     assert main(argv + ["3"]) == 0  # 2,952 supports
+
+
+def test_conflict_search_guard_exit_code(tmp_path, capsys):
+    # x's one conflict with y needs all its formulas: 12 give 4096 supports,
+    # the limit, and 13 give 8192
+    eaf = tmp_path / "f.eaf"
+    eaf.write_text(conflict_eaf(12))
+    assert run_err(capsys, "eaf", "classify", "--eaf", str(eaf)) == (0, (
+        "deductive: {x,y}\nenthymemes: {}\ncertain: {(y,x)}\nquestionable: {}\n"
+        "deductive_core: {(y,x)}\n"), "")
+    eaf.write_text(conflict_eaf(13))
+    assert run_err(capsys, "eaf", "classify", "--eaf", str(eaf)) == (
+        4, "", "error: 8192 supports over 13 formulas exceed the limit of 4096\n")
 
 
 def test_negative_max_added_exits_2(capsys):
@@ -462,6 +475,14 @@ def test_bad_tau_exits_2(capsys, tmp_path):
     certainty.write_text("1/0 : a\n")
     code, out, err = run_err(capsys, *argv, "--certainty", str(certainty))
     assert (code, out, err) == (2, "", "error: line 1, col 1: bad rational '1/0'\n")
+    # Fraction would expand an exponent into an integer of that many digits
+    code, out, err = run_err(capsys, *argv, "--tau", "1e5000")
+    assert (code, out, err) == (2, "", "error: bad rational '1e5000'\n")
+    certainty.write_text("1/2 : a -> b\n1e5000 : a\n")
+    code, out, err = run_err(capsys, *argv, "--certainty", str(certainty))
+    assert (code, out, err) == (2, "", "error: line 2, col 1: bad rational '1e5000'\n")
+    certainty.write_text("1e-3 : a\n1/2 : a -> b\n")
+    assert run_err(capsys, *argv, "--certainty", str(certainty), "--tau", "1e-2")[0] == 0
 
 
 def test_support_errors_count_columns_in_the_whole_flag(capsys):

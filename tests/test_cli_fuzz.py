@@ -1,19 +1,21 @@
 """Command-line fuzzing: generated argv and files through all nine commands,
 in process.
 
-Every call must exit with a documented code (0 to 4) and print no traceback,
-and calling it again must print the same bytes: `main` keeps its argument
-parser and memos of parsed files between calls, and neither may show.  Inputs
-stay small (at most 4 atoms or arguments), so each call is quick; the fixed
-calls are the resource guards and the `--tau 1/0` case.
+Every call must exit with a documented code (0 to 4) within BUDGET seconds
+and print no traceback, and calling it again must print the same bytes, as
+quickly: `main` keeps its argument parser and memos of parsed files between
+calls, and neither may show.  Inputs stay small (at most 4 atoms or
+arguments), so each call is quick; the fixed calls are the resource guards,
+each side of the support limit, and the `--tau 1/0` case.
 """
 
 import contextlib
 import io
 import random
+import time
 
 from argent.cli import main
-from conftest import DATA
+from conftest import DATA, conflict_eaf
 
 ATOMS = ("a", "b", "c", "d")
 ARGS = ("x", "y", "z", "u")
@@ -176,13 +178,20 @@ FIXED = [
       + "  claim: q0 }\ndeductive y { support: !q0  claim: !q0 }\natt(y,x)."}, 4),
     (["args", "generate", "--beliefs", "@beliefs.txt", "--claims", "@claims.txt"],
      {"beliefs.txt": "\n".join(f"q{i}" for i in range(13)), "claims.txt": "q0"}, 4),
+    (["eaf", "classify", "--eaf", "@f.eaf"], {"f.eaf": conflict_eaf(12)}, 0),
+    (["eaf", "classify", "--eaf", "@f.eaf"], {"f.eaf": conflict_eaf(13)}, 4),
 ]
+# Most seconds one call may take, a repeat included.
+BUDGET = 2.0
 
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    took = time.perf_counter() - start
+    assert took <= BUDGET, (argv, f"{took:.2f} s")
     return code, out.getvalue(), err.getvalue()
 
 

@@ -34,6 +34,7 @@ from argent import (
     parse_formula,
     parse_formula_lines,
 )
+import argent.prop as prop
 from argent.prop import MAX_NESTING
 from conftest import oracle_minimal_conflicts
 
@@ -427,9 +428,24 @@ def test_models_width_guard():
 
 def test_minimal_conflicts_resource_guard():
     many = [Var(f"v{i}a") for i in range(17)]
-    message = "131072 supports over 17 candidate formulas exceed the limit of 65536"
+    message = "131072 supports over 17 formulas exceed the limit of 4096"
     with pytest.raises(ResourceLimitError, match=f"^{message}$"):
         minimal_conflict_subsets(many, [])
+
+
+def test_conflict_search_guard_fires_before_any_test(monkeypatch):
+    # 13 candidates over 13 atoms: 2^13 supports, refused before the joint
+    # consistency test; 12 candidates: 4096, the limit, searched.
+    many = [Var(f"q{i}") for i in range(13)]
+    original = prop.satisfiable
+    calls = []
+    monkeypatch.setattr(prop, "satisfiable", lambda fs: calls.append(fs) or original(fs))
+    message = "8192 supports over 13 formulas exceed the limit of 4096"
+    with pytest.raises(ResourceLimitError, match=f"^{message}$"):
+        minimal_conflict_subsets(many, [p(" | ".join(f"!q{i}" for i in range(13)))])
+    assert calls == []
+    context = [p(" | ".join(f"!q{i}" for i in range(12)))]
+    assert minimal_conflict_subsets(many[:12], context) == [tuple(many[:12])]
 
 
 def test_vocabulary_rejects_duplicates_and_bad_names():

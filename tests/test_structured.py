@@ -157,7 +157,7 @@ def test_exhaustive_graph_attacks_equal_defeater_closure():
 
 def test_exhaustive_graph_guard():
     base = [Var(f"v{i}a") for i in range(13)]
-    message = "8192 supports over 13 belief-base formulas exceed the limit of 4096"
+    message = "8192 supports over 13 formulas exceed the limit of 4096"
     with pytest.raises(ResourceLimitError, match=f"^{message}$"):
         exhaustive_graph(base, [p("a")])
 
@@ -228,7 +228,7 @@ def test_completion_walk_guard_fires_before_any_support(monkeypatch):
     original = prop.satisfiable
     calls = []
     monkeypatch.setattr(prop, "satisfiable", lambda fs: calls.append(fs) or original(fs))
-    with pytest.raises(ResourceLimitError, match=r"^8191 supports for e exceed the limit of 4096$"):
+    with pytest.raises(ResourceLimitError, match=r"^8191 supports over 13 formulas exceed the limit of 4096$"):
         list(completion_walk(e, base, [], 12))
     assert calls == []
     assert list(completion_walk(e, base[:12], [], 12)) == [((), p("a"), True)]
