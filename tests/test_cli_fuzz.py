@@ -181,7 +181,7 @@ FIXED = [
     (["eaf", "classify", "--eaf", "@f.eaf"], {"f.eaf": conflict_eaf(12)}, 0),
     (["eaf", "classify", "--eaf", "@f.eaf"], {"f.eaf": conflict_eaf(13)}, 4),
 ]
-# Most seconds one call may take, a repeat included.
+# Most seconds any one run of a call may take, first or repeat.
 BUDGET = 2.0
 
 
