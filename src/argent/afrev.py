@@ -13,6 +13,9 @@ attacks.  Three distance modes are supported:
 
 With uniform weights the scan keeps going until no deeper level can beat the
 best total found, so the returned set is exactly the distance-minimal one.
+Where acc flips count, a deeper level is scanned only over the attacks under
+which goal and constraint can still hold within the acc flips that the best
+total leaves it, and the scan stops where they cannot.
 
 One kernel run covers the original framework, which gives the acceptance
 that acc flips are counted against, together with levels 0 and 1.  A deeper
@@ -31,7 +34,7 @@ errors of a formula.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import combinations
 from math import comb
 from typing import Iterable
 
@@ -52,6 +55,7 @@ from .encoding import (
 from .errors import IDENT, ParseError, Record, ResourceLimitError, UnknownArgumentError
 from .prop import (
     ENUMERATION_LIMIT,
+    FALSE,
     TRUE,
     And,
     AtomToken,
@@ -61,7 +65,9 @@ from .prop import (
     Var,
     satisfiable,
     scan,
+    substitute,
     token_pattern,
+    unit_literals,
     variables,
 )
 
@@ -209,7 +215,15 @@ def revise_af(
     (:func:`encoding.flip_level`).  Each candidate's acc assignment is forced
     by the attacks, so a level-k scan is complete for every model with k free
     flips; the scan stops once no deeper level can reach the best total
-    weight.  The first chunk also holds the original framework, whose
+    weight.  When acc flips weigh w > 0 and a best total B is known, a
+    candidate of level k >= 2 with att weight W can tie B only within
+    (B - W) // w acc flips of acc0.  Goal and constraint are folded under
+    every assignment of their acc atoms within that budget: if each folds to
+    false or to contradicting unit literals, the scan stops, since a deeper
+    level has a smaller budget; otherwise the att literals common to all pin
+    the level, which scans its remaining flips over the positions they leave
+    free.  A level with fewer candidates than such assignments is scanned
+    whole instead.  The first chunk also holds the original framework, whose
     acceptance is read from it; levels 0 and 1 share that kernel run.  Each
     chunk's acc-flip counts are added into bit planes, and only the passing
     candidates with the chunk's fewest acc flips are read off the chunk's
@@ -267,26 +281,51 @@ def revise_af(
     first_levels.append((lead, lead + 1, w_att * baseline))
     first_levels.append((lead + 1, lead + 1 + m, w_att * (baseline + 1)))
     first_flips = [1] * baseline + [1 << (lead + 1 + j) for j in range(m)]
-    batches = chain(
-        [(pin_flips + free, cut_blocks(first_flips, lead + 1 + m), first_levels)],
-        (
-            (free, flip_level(m, k), [(0, comb(m, k), w_att * (baseline + k))])
-            for k in range(2, m + 1)
-        ),
-    )
 
     acc0_mask = None
+    acc: list[tuple[str, bool]] | None = None
     hits: list[tuple[int, int, bool]] = []
     best: int | None = None
-    for depth, (positions, blocks, levels) in enumerate(batches):
-        if best is not None and levels[0][2] > best:
-            break
-        # Levels 0 and 1 found nothing: test the goal once before going deeper.
-        if depth == 1 and best is None and not tested and not satisfiable([combined]):
-            return RevisionOutcome(())
+    for k in range(1, max(m, 1) + 1):
+        if k == 1:
+            level_start, positions = start, pin_flips + free
+            blocks, levels = cut_blocks(first_flips, lead + 1 + m), first_levels
+        else:
+            weight = w_att * (baseline + k)
+            if best is not None and weight > best:
+                break
+            # Levels 0 and 1 found nothing: test the goal once before going deeper.
+            if best is None and k == 2 and not tested and not satisfiable([combined]):
+                break
+            level_start, positions, left = start, free, k
+            # A candidate here ties the best total only within `budget` acc
+            # flips of acc0.  Goal and constraint are folded under each
+            # assignment of their acc atoms within it: if none is left, no
+            # level from here on holds a tie, as a deeper one has a smaller
+            # budget; else the att literals common to what is left pin the
+            # level (on pinned positions they are the pins).  Done only
+            # while those assignments are fewer than the level's candidates.
+            if best is not None and w_acc:
+                if acc is None:
+                    acc = [
+                        (name, bool(acc0_mask >> i & 1))
+                        for i, name in enumerate(enc.acc_names)
+                        if name in names
+                    ]
+                budget = min((best - weight) // w_acc, len(acc))
+                if acc and sum(comb(len(acc), i) for i in range(budget + 1)) <= comb(m, k):
+                    units = _reachable_units(combined, acc, budget)
+                    if units is None:
+                        break
+                    level_start, positions = _pin_level(units, start, free, enc)
+                    left -= (level_start ^ start).bit_count()
+                    if left < 0:
+                        continue
+            blocks = flip_level(len(positions), left)
+            levels = [(0, comb(len(positions), left), weight)]
         offset = 0
         for full, att_cols, acc_cols, vacuous, sat in scan_candidates(
-            enc, start, positions, blocks, combined
+            enc, level_start, positions, blocks, combined
         ):
             size = full.bit_length()
             if acc0_mask is None:
@@ -333,6 +372,42 @@ def revise_af(
             )
         )
     return RevisionOutcome(tuple(entries))
+
+
+def _reachable_units(formula: Formula, acc: list[tuple[str, bool]], budget: int):
+    """The unit literals of `formula` under every assignment to its acc
+    variables within `budget` flips of acc0, given as `acc`, (name, value in
+    acc0) pairs.  Assignments under which it folds to false or its unit
+    literals contradict are left out; None when none is left.  Returns as
+    soon as no literal is common."""
+    common = None
+    for size in range(budget + 1):
+        for flipped in combinations(range(len(acc)), size):
+            assignment = dict(acc)
+            for i in flipped:
+                name, value = acc[i]
+                assignment[name] = not value
+            folded = substitute(formula, assignment)
+            units = None if folded == FALSE else unit_literals([folded])
+            if units is None:
+                continue
+            if common is not None:
+                units = {name: truth for name, truth in common.items() if units.get(name) == truth}
+            common = units
+            if not common:
+                return common
+    return common
+
+
+def _pin_level(units: dict[str, bool], start: int, free: list[int], enc: AttAccVocabulary):
+    """`start` with the att literals `units` set, and the positions of
+    `free` that they leave free."""
+    fixed = 0
+    for name, truth in units.items():
+        bit = 1 << enc.att_position(name)
+        fixed |= bit
+        start = start | bit if truth else start & ~bit
+    return start, [p for p in free if not fixed & 1 << p]
 
 
 def _positions(mask: int) -> list[int]:

@@ -217,6 +217,8 @@ def _subset_columns(m: int, k: int, lo: int, count: int) -> tuple[int, ...]:
     level, which the cache shares between blocks.  Keyed by range, so the
     cache holds at most 1024 ranges however large a level is."""
     cols = [0] * m
+    if not k:
+        return tuple(cols)
     j = bit = 0
     while count:
         run = math.comb(m - j - 1, k - 1)
@@ -237,7 +239,7 @@ def _subset_columns(m: int, k: int, lo: int, count: int) -> tuple[int, ...]:
 
 def flip_level(m: int, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """Blocks (see :func:`scan_candidates`) of the k-subsets of m flip
-    positions (k >= 1), in `combinations` order, _CHUNK candidates a block."""
+    positions, in `combinations` order, _CHUNK candidates a block."""
     size = _CHUNK
     total = math.comb(m, k)
     for lo in range(0, total, size):

@@ -151,7 +151,10 @@ class CertaintyMap(MutableRecord):
             colon = text.find(":", start, stop)
             if colon < 0:
                 raise ParseError("expected '<rational> : <formula>'", *line_col(text, start))
-            value = parse_rational(text[start:colon].strip(), *line_col(text, start))
+            written, position = text[start:colon].strip(), line_col(text, start)
+            value = parse_rational(written, *position)
+            if not 0 <= value <= 1:
+                raise ParseError(f"certainty {written!r} outside [0,1]", *position)
             values[parse_span(text, colon + 1, stop)] = value
         return cls(values)
 

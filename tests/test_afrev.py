@@ -419,13 +419,53 @@ def test_flip_levels_honour_the_chunk_size(monkeypatch):
         monkeypatch.setattr(encoding, "_CHUNK", size)
         runs.clear()
         found[size] = revise_af(af, goal, mode=DALAL)
-        # levels 0-1 (10 candidates), then levels 2 to 4 over 9 free att
-        # variables: the best total is 2 att flips + 2 acc flips
+        # levels 0-1 (10 candidates), then level 2 over 9 free att
+        # variables: the best total is 2 att flips + 2 acc flips, and deeper
+        # levels cannot afford the two acc flips the goal needs
         assert {e.total_weight for e in found[size]} == {4}
-        want = ceil(10 / size) + sum(ceil(comb(9, k) / size) for k in (2, 3, 4))
-        assert len(runs) == want and max(runs) == min(size, comb(9, 4))
+        want = ceil(10 / size) + ceil(comb(9, 2) / size)
+        assert len(runs) == want and max(runs) == min(size, comb(9, 2))
     assert found[3] == found[encoding._CHUNK]
     assert len(found[3]) > 1
+
+
+def _counted_runs(monkeypatch):
+    """The candidate count of each kernel run from here on."""
+    from argent import kernels
+
+    runs = []
+    columns = kernels.acceptance_columns
+
+    def counting(*args):
+        runs.append(args[2].bit_length())
+        return columns(*args)
+
+    monkeypatch.setattr(kernels, "acceptance_columns", counting)
+    return runs
+
+
+def test_scan_stops_where_the_goal_is_out_of_budget(monkeypatch):
+    """Best total 4 at level 2; level 3 affords one acc flip, and the goal
+    needs two, so no kernel run covers level 3 or deeper."""
+    runs = _counted_runs(monkeypatch)
+    af = ArgumentationFramework(("a", "b", "c"), frozenset())
+    goal = parse_goal("!acc(a) & !acc(b)", AttAccVocabulary(af.arguments))
+    out = revise_af(af, goal, mode=DALAL)
+    assert {e.total_weight for e in out} == {4} and len(out) == 2
+    assert runs == [10, 36]
+
+
+def test_budget_pins_a_level(monkeypatch):
+    """acc(x) is false in acc0 and the best total 2 (level 1, one acc flip)
+    leaves level 2 no acc flip: the goal then needs att(y,z) & att(z,y), which
+    pins the level to its one candidate with both attacks added."""
+    runs = _counted_runs(monkeypatch)
+    af = ArgumentationFramework(("x", "y", "z"), frozenset({("y", "x")}))
+    goal = parse_goal("acc(x) | (att(y,z) & att(z,y))", AttAccVocabulary(af.arguments))
+    out = revise_af(af, goal, mode=DALAL)
+    assert [e.total_weight for e in out] == [2]
+    assert out.entries[0].att_removed == {("y", "x")}
+    assert runs == [10, 1]
 
 
 # Each goal's error (or formula) exactly as the token-by-token scanner gave

@@ -485,6 +485,20 @@ def test_bad_tau_exits_2(capsys, tmp_path):
     assert run_err(capsys, *argv, "--certainty", str(certainty), "--tau", "1e-2")[0] == 0
 
 
+def test_certainty_outside_unit_interval_exits_2_at_its_position(capsys, tmp_path):
+    # quoted as written: a value of 4,300 digits cannot be formatted back
+    argv = ("args", "encode", "--support", "a ; a -> b", "--claim", "b")
+    certainty = tmp_path / "c.certainty"
+    certainty.write_text("1e4300 : a\n")
+    code, out, err = run_err(capsys, *argv, "--certainty", str(certainty))
+    assert (code, out, err) == (2, "", "error: line 1, col 1: certainty '1e4300' outside [0,1]\n")
+    certainty.write_text("1/2 : a -> b\n2 : a\n")
+    code, out, err = run_err(capsys, *argv, "--certainty", str(certainty))
+    assert (code, out, err) == (2, "", "error: line 2, col 1: certainty '2' outside [0,1]\n")
+    certainty.write_text("0 : a\n1 : a -> b\n")
+    assert run_err(capsys, *argv, "--certainty", str(certainty))[0] == 0
+
+
 def test_support_errors_count_columns_in_the_whole_flag(capsys):
     code, out, err = run_err(capsys, "args", "encode", "--support", "a ; b &", "--claim", "b")
     assert (code, out, err) == (2, "", "error: line 1, col 8: unexpected end of input\n")

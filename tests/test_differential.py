@@ -515,13 +515,10 @@ def _weight(mode, n, radius, acc_flips):
     return (1 if mode == DALAL else n + 1) * radius + acc_flips
 
 
-@settings(max_examples=60)
-@given(revision_cases())
-@example((ArgumentationFramework(("a", "b"), {("a", "b")}), "acc(b) | att(b,a)", None))
-@example((ArgumentationFramework(("a", "b", "c"), ()), "acc(a) -> !acc(b)", "att(c,a) <-> acc(c)"))
-@example((ArgumentationFramework(("a",), ()), "att(a,a)", None))
-def test_revise_af_matches_oracle(case):
-    af, goal_text, constraint_text = case
+def assert_revise_af_matches_oracle(af, goal_text, constraint_text, modes):
+    """`revise_af` in each of `modes`, with and without `require_extension`,
+    against the oracle's solutions within the radius: all of them for up to
+    3 arguments, 3 flips for 4."""
     n = len(af.arguments)
     enc = AttAccVocabulary(af.arguments)
     goal = parse_goal(goal_text, enc)
@@ -536,7 +533,7 @@ def test_revise_af_matches_oracle(case):
     acc0, _ = oracle_acceptance(af.arguments, af.attacks)
     for require_extension in (True, False):
         solutions = oracle_revision_solutions(af, admits, radius, require_extension)
-        for mode in (ATT_ONLY, DALAL, ATT_WEIGHTED):
+        for mode in modes:
             out = revise_af(af, goal, constraint, mode=mode, require_extension=require_extension)
             got = [(e.af.attacks, e.accepted, e.total_weight) for e in out]
             scored = [
@@ -557,6 +554,44 @@ def test_revise_af_matches_oracle(case):
                 for e in out
             ]
             assert flips == sorted(flips)
+
+
+@settings(max_examples=60)
+@given(revision_cases())
+@example((ArgumentationFramework(("a", "b"), {("a", "b")}), "acc(b) | att(b,a)", None))
+@example((ArgumentationFramework(("a", "b", "c"), ()), "acc(a) -> !acc(b)", "att(c,a) <-> acc(c)"))
+@example((ArgumentationFramework(("a",), ()), "att(a,a)", None))
+def test_revise_af_matches_oracle(case):
+    assert_revise_af_matches_oracle(*case, (ATT_ONLY, DALAL, ATT_WEIGHTED))
+
+
+@st.composite
+def dalal_cases(draw):
+    """2-3 arguments, so that the oracle's radius covers every framework,
+    and a constraint of 0-2 unit att literals."""
+    n = draw(st.integers(2, 3))
+    arguments = ARGS[:n]
+    pairs = [(x, y) for x in arguments for y in arguments]
+    attacks = frozenset(draw(st.sets(st.sampled_from(pairs), max_size=n + 1)))
+    goal = draw(goal_texts(arguments))
+    units = draw(st.lists(st.tuples(st.sampled_from(("", "!")), st.sampled_from(pairs)), max_size=2))
+    constraint = " & ".join(f"{sign}att({x},{y})" for sign, (x, y) in units)
+    return ArgumentationFramework(arguments, attacks), goal, constraint or None
+
+
+# Dalal mode is where the scan's acc-flip budget pins deeper levels and stops
+# the scan: an all-acc conjunction that only a deep level meets; a goal that
+# folds to the double negation !!att(a,a), which is not read as a unit
+# literal; and a constraint literal that the goal, once acc(a) keeps its
+# acc0 value, contradicts.
+@settings(max_examples=60)
+@given(dalal_cases())
+@example((ArgumentationFramework(("a", "b", "c"), {("a", "b"), ("b", "c")}),
+          "acc(a) & acc(b) & acc(c)", None))
+@example((ArgumentationFramework(("a", "b"), ()), "!att(a,a) -> !acc(a)", None))
+@example((ArgumentationFramework(("a", "b"), ()), "acc(a) -> !att(a,b)", "att(a,b)"))
+def test_dalal_revise_af_matches_oracle(case):
+    assert_revise_af_matches_oracle(*case, (DALAL,))
 
 
 def test_revise_af_foreign_variable():
