@@ -574,7 +574,8 @@ def dalal_cases(draw):
     pairs = [(x, y) for x in arguments for y in arguments]
     attacks = frozenset(draw(st.sets(st.sampled_from(pairs), max_size=n + 1)))
     goal = draw(goal_texts(arguments))
-    units = draw(st.lists(st.tuples(st.sampled_from(("", "!")), st.sampled_from(pairs)), max_size=2))
+    literal = st.tuples(st.sampled_from(("", "!")), st.sampled_from(pairs))
+    units = draw(st.lists(literal, max_size=2))
     constraint = " & ".join(f"{sign}att({x},{y})" for sign, (x, y) in units)
     return ArgumentationFramework(arguments, attacks), goal, constraint or None
 
