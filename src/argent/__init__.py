@@ -51,10 +51,7 @@ _EXPORTS = {
         "format_interpretation", "is_consistent", "minimal_conflict_subsets", "models",
         "parse_formula", "parse_formula_lines", "variables",
     ),
-    "revision": (
-        "DistanceProfile", "WeightMap", "dalal_revise", "hamming", "minimal_models",
-        "weighted_distance",
-    ),
+    "revision": ("dalal_revise", "hamming"),
     "structured": (
         "CertaintyMap", "DeductiveReport", "StructuredArgument", "added_support_is_tight",
         "complete_enthymeme", "exhaustive_graph", "is_defeater", "is_enthymeme_for",

@@ -286,39 +286,30 @@ def classify_attacks(eaf: EnthymemeAF) -> AttackClassification:
 # Integrity constraints and revision
 # ---------------------------------------------------------------------------
 
-def constraint_deductive(eaf: EnthymemeAF) -> Formula:
-    """Freeze every attack and non-attack between deductive arguments."""
+def _freeze_attacks(eaf: EnthymemeAF, positive: frozenset[tuple[str, str]]) -> Formula:
+    """Assert each attack of `positive` in framework order, then deny every
+    other pair of deductive arguments."""
     enc = AttAccVocabulary(eaf.ids)
     deductive = eaf.deductive_ids
-    parts: list[Formula] = []
-    negatives: list[Formula] = []
-    for x in deductive:
-        for y in deductive:
-            v = Var(enc.att_var(x, y))
-            if (x, y) in eaf.declared_attacks:
-                parts.append(v)
-            else:
-                negatives.append(Not(v))
-    return conj(tuple(parts + negatives))
+    return conj(
+        [Var(enc.att_var(x, y)) for x, y in sorted(positive, key=eaf.pair_key)]
+        + [Not(Var(enc.att_var(x, y))) for x in deductive for y in deductive
+           if (x, y) not in positive]
+    )
+
+
+def constraint_deductive(eaf: EnthymemeAF) -> Formula:
+    """Freeze every attack and non-attack between deductive arguments."""
+    deductive = set(eaf.deductive_ids)
+    return _freeze_attacks(eaf, frozenset(
+        (x, y) for x, y in eaf.declared_attacks if x in deductive and y in deductive
+    ))
 
 
 def constraint_certain(eaf: EnthymemeAF) -> Formula:
     """Freeze every certain attack; forbid non-core attacks between deductive
     arguments.  Negative literals cover only deductive pairs."""
-    cls = classify_attacks(eaf)
-    enc = AttAccVocabulary(eaf.ids)
-    deductive = eaf.deductive_ids
-    positives = [
-        Var(enc.att_var(x, y))
-        for x, y in sorted(cls.certain, key=eaf.pair_key)
-    ]
-    negatives = [
-        Not(Var(enc.att_var(x, y)))
-        for x in deductive
-        for y in deductive
-        if (x, y) not in cls.deductive_core
-    ]
-    return conj(tuple(positives + negatives))
+    return _freeze_attacks(eaf, classify_attacks(eaf).certain)
 
 
 def revise_eaf(

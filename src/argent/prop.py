@@ -791,9 +791,6 @@ class Interpretation(Record):
     def satisfies(self, f: Formula) -> bool:
         return evaluate(f, self.true_set)
 
-    def sort_key(self) -> tuple[bool, ...]:
-        return tuple(name in self.true_set for name in self.vocabulary.names)
-
     def __str__(self) -> str:
         return format_interpretation(self)
 

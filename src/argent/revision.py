@@ -1,10 +1,8 @@
-"""Model-based revision: Hamming distance, weighted flips, Dalal minimal change."""
+"""Hamming distance and Dalal minimal change."""
 
 from __future__ import annotations
 
-from typing import Iterable
-
-from .errors import MutableRecord, Record, VocabularyMismatchError
+from .errors import VocabularyMismatchError
 from .prop import (
     Formula,
     Interpretation,
@@ -17,73 +15,11 @@ from .prop import (
 )
 
 
-class WeightMap(MutableRecord):
-    """Per-variable non-negative integer weights; unlisted names weigh `default`."""
-
-    _fields = ("weights", "default")
-
-    def __init__(self, weights: dict[str, int] | None = None, default: int = 1):
-        self.weights = {} if weights is None else weights
-        self.default = default
-        for name, w in self.weights.items():
-            if not isinstance(w, int) or w < 0:
-                raise ValueError(f"weight of {name!r} must be a non-negative integer")
-        if not isinstance(self.default, int) or self.default < 0:
-            raise ValueError("default weight must be a non-negative integer")
-
-    def weight_of(self, name: str) -> int:
-        return self.weights.get(name, self.default)
-
-
-class DistanceProfile(Record):
-    """Total weighted distance together with the set of flipped variables."""
-
-    _fields = ("total", "flips")
-
-    def __init__(self, total: int, flips: frozenset[str]):
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "flips", flips)
-
-
-def _check_shared_vocabulary(i: Interpretation, j: Interpretation) -> None:
-    if i.vocabulary != j.vocabulary:
-        raise VocabularyMismatchError("interpretations use different vocabularies")
-
-
 def hamming(i: Interpretation, j: Interpretation) -> int:
     """Number of variables assigned differently by `i` and `j`."""
-    _check_shared_vocabulary(i, j)
+    if i.vocabulary != j.vocabulary:
+        raise VocabularyMismatchError("interpretations use different vocabularies")
     return len(i.true_set ^ j.true_set)
-
-
-def weighted_distance(i: Interpretation, j: Interpretation, w: WeightMap) -> DistanceProfile:
-    _check_shared_vocabulary(i, j)
-    flips = frozenset(i.true_set ^ j.true_set)
-    return DistanceProfile(sum(w.weight_of(name) for name in flips), flips)
-
-
-def minimal_models(
-    base: Iterable[Interpretation],
-    candidates: Iterable[Interpretation],
-    w: WeightMap,
-) -> list[Interpretation]:
-    """Candidates whose minimal weighted distance to `base` is smallest.
-
-    Returned in canonical interpretation order.  `base` must be non-empty.
-    """
-    base_list = list(base)
-    if not base_list:
-        raise ValueError("base must contain at least one interpretation")
-    scored = []
-    for cand in candidates:
-        dist = min(weighted_distance(cand, b, w).total for b in base_list)
-        scored.append((dist, cand))
-    if not scored:
-        return []
-    best = min(dist for dist, _ in scored)
-    chosen = [cand for dist, cand in scored if dist == best]
-    chosen.sort(key=Interpretation.sort_key)
-    return chosen
 
 
 def dalal_revise(phi: Formula, alpha: Formula, vocabulary: Vocabulary) -> list[Interpretation]:

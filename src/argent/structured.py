@@ -137,7 +137,7 @@ class CertaintyMap(MutableRecord):
         self.values = {} if values is None else values
         for f, v in self.values.items():
             if not 0 <= v <= 1:
-                raise ValueError(f"certainty of {format_formula(f)} outside [0,1]: {v}")
+                raise ValueError(f"certainty of {format_formula(f)} outside [0,1]")
 
     def value_of(self, f: Formula) -> Fraction:
         return self.values.get(f, Fraction(0))

@@ -317,6 +317,16 @@ def test_constraint_certain_f3(f3):
     assert evaluate(constraint, base | {"att_e2_d2"})          # questionable stays free
 
 
+def test_constraints_f3_pinned(f3):
+    # positives in framework order, then the negated deductive pairs
+    assert constraint_deductive(f3) == parse_formula(
+        "att_d2_d1 & !att_d1_d1 & !att_d1_d2 & !att_d2_d2"
+    )
+    assert constraint_certain(f3) == parse_formula(
+        "att_d1_e1 & att_d2_d1 & !att_d1_d1 & !att_d1_d2 & !att_d2_d2"
+    )
+
+
 # ---------------------------------------------------------------------------
 # Revision and acceptability
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from argent.prop import (
     Var,
     Vocabulary,
 )
-from argent.revision import DistanceProfile, WeightMap
 from argent.structured import CertaintyMap, DeductiveReport, StructuredArgument
 
 A, B = Var("a"), Var("b")
@@ -79,9 +78,6 @@ RECORDS = [
      "deductive_core=frozenset(), warnings=('w',), notes=())"),
     (AcceptabilityResult, {"entry": ENTRY, "acceptable": True, "witness": {}, "reason": None},
      f"AcceptabilityResult(entry={ENTRY_REPR}, acceptable=True, witness={{}}, reason=None)"),
-    (WeightMap, {"weights": {"a": 2}, "default": 3}, "WeightMap(weights={'a': 2}, default=3)"),
-    (DistanceProfile, {"total": 1, "flips": frozenset({"a"})},
-     "DistanceProfile(total=1, flips=frozenset({'a'}))"),
     (CertaintyMap, {"values": {A: Fraction(1, 2)}},
      "CertaintyMap(values={Var(name='a'): Fraction(1, 2)})"),
     (DeductiveReport, {"in_base": True, "consistent": False, "entails_claim": True,
@@ -89,7 +85,7 @@ RECORDS = [
      "DeductiveReport(in_base=True, consistent=False, entails_claim=True, minimal=False, "
      "missing_from_base=(Var(name='a'),), redundant=(Var(name='b'),))"),
 ]
-MUTABLE = (Token, WeightMap, CertaintyMap)
+MUTABLE = (Token, CertaintyMap)
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
 
@@ -101,7 +97,7 @@ def test_every_record_class_is_listed():
         found.add(cls)
     # Record, MutableRecord and Formula have no fields; AtomToken is a Token
     assert found - {Record, MutableRecord, Formula, AtomToken} == {cls for cls, _, _ in RECORDS}
-    assert len(RECORDS) == 23
+    assert len(RECORDS) == 21
 
 
 @pytest.mark.parametrize("cls, fields, text", RECORDS, ids=IDS)
@@ -164,10 +160,6 @@ def test_slotted_records_keep_their_slots():
 
 
 def test_defaults_and_unshared_mutable_defaults():
-    assert WeightMap().weights == {} and WeightMap().default == 1
-    w1, w2 = WeightMap(), WeightMap()
-    w1.weights["a"] = 5
-    assert w2.weights == {}
     c1, c2 = CertaintyMap(), CertaintyMap()
     assert c1.values is not c2.values
     c1.values[A] = Fraction(1)

@@ -1,4 +1,4 @@
-"""Hamming/weighted distances, Dalal revision, minimal-model selection."""
+"""Hamming distance and Dalal revision."""
 
 import random
 
@@ -11,13 +11,10 @@ from argent import (
     Var,
     Vocabulary,
     VocabularyMismatchError,
-    WeightMap,
     dalal_revise,
     hamming,
-    minimal_models,
     models,
     parse_formula,
-    weighted_distance,
 )
 
 p = parse_formula
@@ -57,24 +54,6 @@ def test_hamming_vocabulary_mismatch():
         hamming(interp(V4, set()), interp(Vocabulary.of("a"), set()))
 
 
-def test_weighted_distance():
-    v = Vocabulary.of("att_ab", "acc_a")
-    w = WeightMap({"att_ab": 3, "acc_a": 1})
-    profile = weighted_distance(interp(v, {"att_ab"}), interp(v, {"acc_a"}), w)
-    assert profile.total == 4
-    assert profile.flips == {"att_ab", "acc_a"}
-    zero = weighted_distance(interp(v, {"att_ab"}), interp(v, {"att_ab"}), w)
-    assert zero.total == 0 and not zero.flips
-
-
-def test_weighted_all_ones_matches_hamming():
-    w = WeightMap()
-    for true_set in DISTANCE_TABLE:
-        i = interp(V4, true_set)
-        j = interp(V4, {"a", "c"})
-        assert weighted_distance(i, j, w).total == hamming(i, j)
-
-
 def test_dalal_background_example():
     result = dalal_revise(PHI, ALPHA, V4)
     assert [m.true_set for m in result] == [frozenset({"a", "c"})]
@@ -96,29 +75,6 @@ def test_dalal_single_model_alpha():
 def test_dalal_inconsistent_inputs():
     assert dalal_revise(PHI, p("a & !a"), V4) == []
     assert dalal_revise(p("a & !a"), ALPHA, V4) == models(ALPHA, V4)
-
-
-def test_minimal_models_rederives_dalal_example():
-    base = models(PHI, V4)
-    cands = models(ALPHA, V4)
-    result = minimal_models(base, cands, WeightMap())
-    assert [m.true_set for m in result] == [frozenset({"a", "c"})]
-
-
-def test_minimal_models_candidates_within_base():
-    base = models(p("a | b"), V4)
-    cands = base[:2]
-    assert minimal_models(base, cands, WeightMap()) == sorted(
-        cands, key=Interpretation.sort_key
-    )
-
-
-def test_minimal_models_singletons_and_empty_base():
-    i = interp(V4, {"a"})
-    j = interp(V4, {"b", "c"})
-    assert minimal_models([i], [j], WeightMap()) == [j]
-    with pytest.raises(ValueError):
-        minimal_models([], [i], WeightMap())
 
 
 def _random_formula(rng, names, depth):
@@ -176,17 +132,3 @@ def test_faithful_assignment_conditions():
         equivalent = Not(Not(phi))
         base2 = models(equivalent, v)
         assert {i: mindist(i, base2) for i in everything} == keys
-
-
-def test_minimal_models_agrees_with_dalal_random():
-    rng = random.Random(5150)
-    v = Vocabulary.of("a", "b", "c", "d")
-    for _ in range(80):
-        phi = _random_formula(rng, ["a", "b", "c", "d"], 3)
-        alpha = _random_formula(rng, ["a", "b", "c", "d"], 3)
-        base = models(phi, v)
-        cands = models(alpha, v)
-        if not base or not cands:
-            continue
-        via_generic = minimal_models(base, cands, WeightMap())
-        assert via_generic == dalal_revise(phi, alpha, v)

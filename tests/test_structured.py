@@ -272,6 +272,14 @@ def test_certainty_map_range_checked():
         CertaintyMap({p("a"): Fraction(3, 2)})
 
 
+def test_certainty_map_range_message_omits_the_value():
+    # a value too long to print as an integer
+    with pytest.raises(ValueError) as raised:
+        CertaintyMap({Var("a"): Fraction(10) ** 4300})
+    assert "certainty of a outside [0,1]" in str(raised.value)
+    assert "digits" not in str(raised.value)
+
+
 def test_certainty_map_parse():
     cm = CertaintyMap.parse("0.9 : rain -> umbrella\n# note\n1/4 : rain\n")
     assert cm.value_of(p("rain -> umbrella")) == Fraction(9, 10)
