@@ -10,7 +10,9 @@ also answers the same corpus (the rounds `run.py` measures for that seed and
 length) with the checkout's own program, through `run.py`'s own round loop,
 and stores a sha256 over every query's summary: a change that alters an
 answer alters that checksum, whatever its timings.  Seed and run count are
-fixed, so the checksums of any two records compare.  The Python version,
+fixed, so the checksums of any two records compare.  The size of the
+program, the physical lines of `src/argent/*.py` and its code lines (blank,
+comment and docstring lines left out), is stored next to them.  The Python version,
 `PYTHONDONTWRITEBYTECODE`, the CPU count, the checkout's commit and whether
 its tree differs from that commit (untracked files included) are stored with
 the figures.
@@ -25,14 +27,17 @@ carry whatever the machine drifted in between; alternated runs of
 from __future__ import annotations
 
 import argparse
+import ast
 import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
 import subprocess
 import sys
 import tempfile
+import tokenize
 from pathlib import Path
 
 SEED = 433
@@ -63,6 +68,36 @@ def summary_checksums(checkout: Path, workloads, seconds: float) -> dict:
         capture_output=True, text=True, check=True,
     )
     return json.loads(done.stdout.splitlines()[-1])
+
+
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+           tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """Lines of `source` that hold a token other than a comment or layout,
+    docstrings (a string statement opening a module, class or function)
+    left out."""
+    docs = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant)
+                    and isinstance(first.value.value, str)):
+                docs.update(range(first.lineno, first.end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _LAYOUT:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docs)
+
+
+def line_counts(checkout: Path) -> dict:
+    """Physical and code lines (see :func:`code_lines`) of the checkout's
+    `src/argent/*.py`."""
+    sources = [p.read_text() for p in sorted((checkout / "src" / "argent").glob("*.py"))]
+    return {"physical": sum(len(s.splitlines()) for s in sources),
+            "code": sum(code_lines(s) for s in sources)}
 
 
 class SummaryDigest:
@@ -125,6 +160,7 @@ def main():
         "cpus": os.cpu_count(),
         "seed": SEED,
         "seconds": seconds,
+        "src_lines": line_counts(checkout),
         "workloads": {
             name: {**checksums[name], "runs": [bench_run(checkout, name, seconds) for _ in range(RUNS)]}
             for name in workloads

@@ -41,15 +41,15 @@ from typing import Iterable
 from .af import (
     ArgumentationFramework,
     _guard_size,
+    _mask_to_set,
     format_af,
     format_extension,
     format_pair_set,
 )
 from .encoding import (
     AttAccVocabulary,
-    cut_blocks,
     flip_level,
-    pin_att_units,
+    pin_att,
     scan_candidates,
 )
 from .errors import IDENT, ParseError, Record, ResourceLimitError, UnknownArgumentError
@@ -223,8 +223,9 @@ def revise_af(
     level has a smaller budget; otherwise the att literals common to all pin
     the level, which scans its remaining flips over the positions they leave
     free.  A level with fewer candidates than such assignments is scanned
-    whole instead.  The first chunk also holds the original framework, whose
-    acceptance is read from it; levels 0 and 1 share that kernel run.  Each
+    whole instead.  Levels 0 and 1 are one block, never cut, that opens with
+    the original framework, whose acceptance is read from it; they share that
+    kernel run.  Each
     chunk's acc-flip counts are added into bit planes, and only the passing
     candidates with the chunk's fewest acc flips are read off the chunk's
     columns, and kept when they tie or beat the best total so far.  When
@@ -252,35 +253,36 @@ def revise_af(
     tested = len(names) > ENUMERATION_LIMIT
     if tested and not satisfiable([combined]):
         return RevisionOutcome(())
+    units = unit_literals([combined])
+    if units is None:
+        return RevisionOutcome(())
+    base_att = 0
+    for pair in af.attacks:
+        base_att |= 1 << enc.pair_index[pair]
     try:
-        pins = pin_att_units(combined, enc)
+        start, free = pin_att(units, base_att, range(n * n), enc)
     except ResourceLimitError:
         if not tested and not satisfiable([combined]):  # no model: empty, not refused
             return RevisionOutcome(())
         raise
-    if pins is None:
-        return RevisionOutcome(())
-    pinned, value, free = pins
-    base_att = 0
-    for pair in af.attacks:
-        base_att |= 1 << enc.pair_index[pair]
-    start = base_att & ~pinned | value
     pin_flips = _positions(start ^ base_att)
     baseline = len(pin_flips)
     m = len(free)
 
-    # Levels 0 and 1 share one candidate stream, and so one kernel run for
-    # any chunk size of at least their count.  The stream opens with the
-    # original framework, which gives acc0: the level-0 candidate when no pin
-    # changes it, else the pinned flips back from `start`, which break the
-    # pins and so never pass.  A level is a range of the stream's candidates
-    # with one att weight: (begin, end, att weight).  Deeper levels come as
-    # cached flip columns (see :func:`encoding.flip_level`).
+    # Levels 0 and 1 are one block, and so one kernel run, which is never
+    # cut (see encoding._CHUNK).  It opens with the original framework, which
+    # gives acc0: the level-0 candidate when no pin changes it, else the
+    # pinned flips back from `start`, which break the pins and so never pass.
+    # A level is (candidate mask, att weight) within its block; a deeper
+    # level fills every block it has, so its mask is -1.  Deeper levels come
+    # as cached flip columns (see :func:`encoding.flip_level`).
     lead = 1 if baseline else 0
-    first_levels = [(0, 1, 0)] if baseline else []
-    first_levels.append((lead, lead + 1, w_att * baseline))
-    first_levels.append((lead + 1, lead + 1 + m, w_att * (baseline + 1)))
     first_flips = [1] * baseline + [1 << (lead + 1 + j) for j in range(m)]
+    first_block = [((1 << lead + 1 + m) - 1, first_flips)]
+    first_levels = [
+        (1 << lead, w_att * baseline),
+        ((1 << m) - 1 << lead + 1, w_att * (baseline + 1)),
+    ]
 
     acc0_mask = None
     acc: list[tuple[str, bool]] | None = None
@@ -289,7 +291,7 @@ def revise_af(
     for k in range(1, max(m, 1) + 1):
         if k == 1:
             level_start, positions = start, pin_flips + free
-            blocks, levels = cut_blocks(first_flips, lead + 1 + m), first_levels
+            blocks, levels = first_block, first_levels
         else:
             weight = w_att * (baseline + k)
             if best is not None and weight > best:
@@ -317,25 +319,22 @@ def revise_af(
                     units = _reachable_units(combined, acc, budget)
                     if units is None:
                         break
-                    level_start, positions = _pin_level(units, start, free, enc)
+                    level_start, positions = pin_att(units, start, free, enc)
                     left -= (level_start ^ start).bit_count()
                     if left < 0:
                         continue
             blocks = flip_level(len(positions), left)
-            levels = [(0, comb(len(positions), left), weight)]
-        offset = 0
+            levels = [(-1, weight)]
         for full, att_cols, acc_cols, vacuous, sat in scan_candidates(
             enc, level_start, positions, blocks, combined
         ):
-            size = full.bit_length()
             if acc0_mask is None:
                 acc0_mask = _bits_at(acc_cols, 1)
             if require_extension:
                 sat &= ~vacuous
             planes = None
-            for begin, end, att_weight in levels:
-                lo, hi = max(begin - offset, 0), min(end - offset, size)
-                passing = sat & (1 << hi) - (1 << lo) if lo < hi else 0
+            for mask, att_weight in levels:
+                passing = sat & mask
                 if not passing or best is not None and att_weight > best:
                     continue
                 flips = 0
@@ -348,7 +347,6 @@ def revise_af(
                     best, hits = total, []
                 if total == best:
                     hits += _decode(passing, att_cols, acc_cols, vacuous)
-            offset += size
     if best is None:
         return RevisionOutcome(())
     # Entries in order of their flip sets; the few flipped pairs give the
@@ -363,11 +361,11 @@ def revise_af(
         entries.append(
             RevisionEntry(
                 af=ArgumentationFramework._trusted(args, af.attacks - removed | added),
-                accepted=_members(args, acc_mask),
+                accepted=_mask_to_set(af, acc_mask),
                 vacuous=vacuous,
                 att_added=added,
                 att_removed=removed,
-                acc_changed=_members(args, acc_mask ^ acc0_mask),
+                acc_changed=_mask_to_set(af, acc_mask ^ acc0_mask),
                 total_weight=best,
             )
         )
@@ -399,17 +397,6 @@ def _reachable_units(formula: Formula, acc: list[tuple[str, bool]], budget: int)
     return common
 
 
-def _pin_level(units: dict[str, bool], start: int, free: list[int], enc: AttAccVocabulary):
-    """`start` with the att literals `units` set, and the positions of
-    `free` that they leave free."""
-    fixed = 0
-    for name, truth in units.items():
-        bit = 1 << enc.att_position(name)
-        fixed |= bit
-        start = start | bit if truth else start & ~bit
-    return start, [p for p in free if not fixed & 1 << p]
-
-
 def _positions(mask: int) -> list[int]:
     """The set bits of `mask`, ascending."""
     out = []
@@ -418,10 +405,6 @@ def _positions(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-def _members(arguments: tuple[str, ...], mask: int) -> frozenset[str]:
-    return frozenset([arguments[i] for i in _positions(mask)])
 
 
 def _bits_at(cols: list[int], bit: int) -> int:

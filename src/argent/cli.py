@@ -292,19 +292,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("models", help="enumerate the models of a formula")
     p.add_argument("formula")
     p.add_argument("--vocab", help="comma-separated variable order")
-    p.add_argument("--emit-structured", action="store_true")
     p.set_defaults(func=cmd_models)
 
     p = sub.add_parser("revise-formula", help="Dalal revision of one formula by another")
     p.add_argument("--phi", required=True)
     p.add_argument("--alpha", required=True)
     p.add_argument("--vocab")
-    p.add_argument("--emit-structured", action="store_true")
     p.set_defaults(func=cmd_revise_formula)
 
     p = sub.add_parser("stable", help="stable extensions and skeptical acceptance")
     p.add_argument("af", help="apx file")
-    p.add_argument("--emit-structured", action="store_true")
     p.set_defaults(func=cmd_stable)
 
     p = sub.add_parser("revise-af", help="minimal-change revision of a framework")
@@ -317,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="admit candidate frameworks without stable extensions",
     )
-    p.add_argument("--emit-structured", action="store_true")
     p.set_defaults(func=cmd_revise_af)
 
     p = sub.add_parser("eaf", help="enthymeme-framework operations")
@@ -330,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claims", help="claim-pool file (one formula per line)")
     p.add_argument("--max-added", type=int, default=3)
     p.add_argument("--allow-empty-semantics", action="store_true")
-    p.add_argument("--emit-structured", action="store_true")
     p.set_defaults(func=cmd_eaf)
 
     p = sub.add_parser("args", help="deductive-argument tooling")
@@ -341,9 +336,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--claim", help="claim formula (encode)")
     p.add_argument("--certainty", help="certainty-map file: '<rational> : <formula>' lines")
     p.add_argument("--tau", default="1", help="certainty threshold (rational)")
-    p.add_argument("--emit-structured", action="store_true")
     p.set_defaults(func=cmd_args)
 
+    for p in sub.choices.values():
+        p.add_argument("--emit-structured", action="store_true")
     return parser
 
 

@@ -464,8 +464,7 @@ def _search_witness(involved, candidates, changed, new_attacks, contents, compil
         y = state(pair[1])
         if x is None or y is None:
             return True
-        consistent = compiled.consistent(compiled.meet(x, y))
-        return not consistent if pair in new_attacks else consistent
+        return _justified(compiled, x, y, pair in new_attacks)
 
     def rec(i: int):
         if i == len(involved):
@@ -481,6 +480,12 @@ def _search_witness(involved, candidates, changed, new_attacks, contents, compil
         return None
 
     return rec(0)
+
+
+def _justified(compiled, x, y, attacked: bool) -> bool:
+    """Whether a changed pair whose contents have the states x and y is
+    justified: they are consistent exactly when the pair is not attacked."""
+    return compiled.consistent(compiled.meet(x, y)) != attacked
 
 
 def _diagnose(changed, new_attacks, amap, candidates, contents, compiled) -> str:
@@ -508,9 +513,7 @@ def _diagnose(changed, new_attacks, amap, candidates, contents, compiled) -> str
             if other_id != aid and other_id in candidates:
                 continue
             other = only if other_id == aid else contents[other_id]
-            consistent = compiled.consistent(compiled.meet(only, other))
-            ok = not consistent if pair in new_attacks else consistent
-            if not ok:
+            if not _justified(compiled, only, other, pair in new_attacks):
                 return (
                     f"attack ({pair[0]},{pair[1]}): cannot be justified; no proper "
                     f"recompletion of {aid} is available from the belief base"

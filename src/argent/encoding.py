@@ -17,8 +17,8 @@ for tiny instances, since the quantifier expansion is exponential.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-from typing import Iterable, Iterator, Sequence
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import kernels
 from .af import ArgumentationFramework, skeptical_accepted
@@ -43,7 +43,11 @@ from .prop import (
 
 EMIT_ARGUMENT_LIMIT = 4
 FREE_ATT_LIMIT = 25
-_CHUNK = 256  # candidates per kernel call, which bounds the columns' size
+# Candidates per kernel call, which bounds the columns' size.  A revision's
+# first kernel run, the original framework with flip levels 0 and 1, is one
+# block of at most FREE_ATT_LIMIT + 2 candidates that is never cut, so
+# FREE_ATT_LIMIT + 2 <= _CHUNK keeps every run within the bound.
+_CHUNK = 256
 
 
 @lru_cache(maxsize=32)
@@ -180,29 +184,23 @@ def attacker_masks_from(att_mask: int, n: int) -> list[int]:
     return masks
 
 
-def pin_att_units(formula: Formula, enc: AttAccVocabulary):
-    """Att bits pinned by the unit literals of `formula`'s top-level conjunction.
-
-    Returns (pinned mask, pinned-true bits, free att positions ascending), or
-    None when two unit literals contradict.  More than FREE_ATT_LIMIT free att
-    positions trips the resource guard.
-    """
-    units = unit_literals([formula])
-    if units is None:
-        return None
-    pinned = value = 0
+def pin_att(units: dict[str, bool], start: int, positions: Iterable[int], enc: AttAccVocabulary):
+    """The att bitmask `start` with the att literals of `units` set, and the
+    `positions` they leave free.  More than FREE_ATT_LIMIT free positions
+    trips the resource guard."""
+    fixed = 0
     for name, truth in units.items():
         p = enc.att_position(name)
         if p is not None:
-            pinned |= 1 << p
-            value |= truth << p
-    free = [p for p in range(enc.n * enc.n) if not (pinned >> p) & 1]
+            fixed |= 1 << p
+            start = start | 1 << p if truth else start & ~(1 << p)
+    free = [p for p in positions if not fixed >> p & 1]
     if len(free) > FREE_ATT_LIMIT:
         raise ResourceLimitError(
             f"2^{len(free)} candidate frameworks over {len(free)} free att variables "
             f"exceed the limit of 2^{FREE_ATT_LIMIT}"
         )
-    return pinned, value, free
+    return start, free
 
 
 @lru_cache(maxsize=1024)
@@ -237,23 +235,21 @@ def _subset_columns(m: int, k: int, lo: int, count: int) -> tuple[int, ...]:
     return tuple(cols)
 
 
-def flip_level(m: int, k: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Blocks (see :func:`scan_candidates`) of the k-subsets of m flip
-    positions, in `combinations` order, _CHUNK candidates a block."""
+def _blocks(
+    total: int, columns: Callable[[int, int], Sequence[int]]
+) -> Iterator[tuple[int, Sequence[int]]]:
+    """Blocks (see :func:`scan_candidates`) of `total` candidates, _CHUNK a
+    block; `columns(lo, count)` gives the flip columns of candidates lo ..
+    lo + count - 1."""
     size = _CHUNK
-    total = math.comb(m, k)
     for lo in range(0, total, size):
         count = min(size, total - lo)
-        yield (1 << count) - 1, _subset_columns(m, k, lo, count)
+        yield (1 << count) - 1, columns(lo, count)
 
 
-def cut_blocks(flips: Sequence[int], total: int) -> Iterator[tuple[int, list[int]]]:
-    """Blocks of `total` candidates given as whole flip columns, cut into
-    runs of _CHUNK candidates."""
-    size = _CHUNK
-    for lo in range(0, total, size):
-        full = (1 << min(size, total - lo)) - 1
-        yield full, [col >> lo & full for col in flips]
+def flip_level(m: int, k: int) -> Iterator[tuple[int, Sequence[int]]]:
+    """Blocks of the k-subsets of m flip positions, in `combinations` order."""
+    return _blocks(math.comb(m, k), partial(_subset_columns, m, k))
 
 
 def scan_candidates(
@@ -284,17 +280,11 @@ def scan_candidates(
         yield full, att_cols, acc_cols, vacuous, truth_table(formula, cols, full)
 
 
-def _product_blocks(m: int) -> Iterator[tuple[int, list[int]]]:
-    """Blocks of the 2^m flip sets over m positions in product order (the
-    first position slowest, absent before present), _CHUNK a block."""
-    size = _CHUNK
-    total = 1 << m
-    for lo in range(0, total, size):
-        count = min(size, total - lo)
-        flips = [
-            sum(1 << c for c in range(count) if (lo + c) >> (m - 1 - j) & 1) for j in range(m)
-        ]
-        yield (1 << count) - 1, flips
+def _product_columns(m: int, lo: int, count: int) -> list[int]:
+    """Flip columns of the flip sets over m positions of ranks lo .. lo +
+    count - 1 in product order (the first position slowest, absent before
+    present)."""
+    return [sum(1 << c for c in range(count) if (lo + c) >> (m - 1 - j) & 1) for j in range(m)]
 
 
 def theory_models(arguments: Sequence[str], constraint: Formula) -> Iterator[Interpretation]:
@@ -302,7 +292,7 @@ def theory_models(arguments: Sequence[str], constraint: Formula) -> Iterator[Int
 
     Only att assignments are enumerated; acc variables are functionally
     determined by the attacks.  Att variables pinned by unit literals of the
-    constraint are fixed up front (see :func:`pin_att_units`).
+    constraint are fixed up front (see :func:`pin_att`).
     """
     enc = AttAccVocabulary(arguments)
     extra = variables(constraint) - enc.vocabulary.name_set
@@ -310,11 +300,11 @@ def theory_models(arguments: Sequence[str], constraint: Formula) -> Iterator[Int
         raise VocabularyMismatchError(
             f"constraint uses variables outside the att/acc vocabulary: {sorted(extra)}"
         )
-    pins = pin_att_units(constraint, enc)
-    if pins is None:
+    units = unit_literals([constraint])
+    if units is None:
         return
-    _, base, free = pins
-    blocks = _product_blocks(len(free))
+    base, free = pin_att(units, 0, range(enc.n * enc.n), enc)
+    blocks = _blocks(1 << len(free), partial(_product_columns, len(free)))
     for _, att_cols, acc_cols, _, sat in scan_candidates(enc, base, free, blocks, constraint):
         while sat:
             low = sat & -sat

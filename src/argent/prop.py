@@ -907,19 +907,27 @@ def unit_literals(formulas: Iterable[Formula]):
 # Satisfiability, consistency, entailment
 # ---------------------------------------------------------------------------
 
-def satisfiable(formulas: Sequence[Formula]) -> bool:
-    """Joint satisfiability of a set of formulas over their own vocabulary."""
+def _top_conjuncts(formulas: Iterable[Formula]) -> list[Formula] | None:
+    """The top-level conjuncts of `formulas`, with `&` opened and `true`
+    dropped, in the order a stack pops them; None when one is `false`."""
     flat = []
     stack = list(formulas)
     while stack:
         g = stack.pop()
         if isinstance(g, And):
             stack.extend(g.children)
-        elif isinstance(g, Const):
-            if not g.value:
-                return False
-        else:
+        elif not isinstance(g, Const):
             flat.append(g)
+        elif not g.value:
+            return None
+    return flat
+
+
+def satisfiable(formulas: Sequence[Formula]) -> bool:
+    """Joint satisfiability of a set of formulas over their own vocabulary."""
+    flat = _top_conjuncts(formulas)
+    if flat is None:
+        return False
     if not flat:
         return True
     sets = [variables(g) for g in flat]
@@ -955,15 +963,10 @@ def _assign(conjuncts: _Conjuncts, assignment: Mapping[str, bool]) -> _Conjuncts
         if s is g:
             out.append(pair)
             continue
-        stack = [s]
-        while stack:
-            h = stack.pop()
-            if isinstance(h, And):
-                stack.extend(h.children)
-            elif not isinstance(h, Const):
-                out.append((h, variables(h)))
-            elif not h.value:
-                return None
+        parts = _top_conjuncts([s])
+        if parts is None:
+            return None
+        out += [(h, variables(h)) for h in parts]
     return out
 
 

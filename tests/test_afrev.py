@@ -227,7 +227,8 @@ def _random_goal(rng, args, depth):
 
 def test_chunk_size_does_not_change_outcomes(monkeypatch):
     """The candidate scan tests a chunk of candidates per kernel call; cutting
-    the levels into chunks of 1 or 3 gives the same outcomes in the same order."""
+    the levels past 1 into chunks of 1 or 3 gives the same outcomes in the
+    same order."""
     rng = random.Random(4242)
     cases = []
     for _ in range(16):
@@ -261,7 +262,7 @@ def test_chunk_size_does_not_change_outcomes(monkeypatch):
         assert run_all() == default
 
 
-# Explicit cases for the scan's first chunk: the original framework rides in
+# Explicit cases for the scan's first block: the original framework rides in
 # it, as a candidate that cannot pass when pins flip its attacks (every case
 # with a constraint), and acc0 is read from it (an odd cycle in the third, so
 # acc0 is vacuous).  Each `admits` is the goal and constraint written out.
@@ -399,7 +400,8 @@ def test_wide_goal_is_tested_first(monkeypatch):
 
 def test_flip_levels_honour_the_chunk_size(monkeypatch):
     """Deeper levels come from cached column blocks keyed on _CHUNK: a
-    smaller chunk makes more kernel runs and the same outcome."""
+    smaller chunk makes more kernel runs and the same outcome.  Levels 0-1
+    are one block at every chunk size."""
     from math import ceil, comb
 
     from argent import kernels
@@ -423,10 +425,17 @@ def test_flip_levels_honour_the_chunk_size(monkeypatch):
         # variables: the best total is 2 att flips + 2 acc flips, and deeper
         # levels cannot afford the two acc flips the goal needs
         assert {e.total_weight for e in found[size]} == {4}
-        want = ceil(10 / size) + ceil(comb(9, 2) / size)
-        assert len(runs) == want and max(runs) == min(size, comb(9, 2))
+        want = 1 + ceil(comb(9, 2) / size)
+        assert len(runs) == want and runs[0] == 10
+        assert max(runs[1:]) == min(size, comb(9, 2))
     assert found[3] == found[encoding._CHUNK]
     assert len(found[3]) > 1
+
+
+def test_first_run_fits_one_chunk():
+    # levels 0-1 are never cut: the original framework, level 0 and one
+    # candidate per free att variable fit one chunk at the default size
+    assert encoding.FREE_ATT_LIMIT + 2 <= encoding._CHUNK
 
 
 def _counted_runs(monkeypatch):

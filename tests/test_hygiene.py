@@ -39,13 +39,14 @@ def test_no_unused_imports(path):
 
 def dead_private_names(sources: dict[str, str]) -> list[str]:
     """``module._name`` for each module-level function, class or constant
-    whose name starts with one underscore (dunders aside) and that no module
-    in `sources` reads: by name, as an attribute, or in a ``from`` import."""
+    whose name starts with one underscore (dunders aside) and that nothing
+    in `sources` outside its own definition reads: by name, as an
+    attribute, or in a ``from`` import.  A helper that only calls itself
+    has no reader."""
     defined = []
-    read = set()
+    readers: dict[str, set] = {}
     for module, source in sources.items():
-        tree = ast.parse(source)
-        for node in tree.body:
+        for i, node in enumerate(ast.parse(source).body):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -54,25 +55,31 @@ def dead_private_names(sources: dict[str, str]) -> list[str]:
                          if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
             else:
                 names = []
-            defined += [(module, name) for name in names
+            defined += [(module, i, name) for name in names
                         if name.startswith("_") and not name.startswith("__")]
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                read.update(a.name for a in node.names)
-    return [f"{module}.{name}" for module, name in defined if name not in read]
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    read = [sub.id]
+                elif isinstance(sub, ast.Attribute):
+                    read = [sub.attr]
+                elif isinstance(sub, ast.ImportFrom):
+                    read = [a.name for a in sub.names]
+                else:
+                    read = []
+                for name in read:
+                    readers.setdefault(name, set()).add((module, i))
+    return [f"{module}.{name}" for module, i, name in defined
+            if not readers.get(name, set()) - {(module, i)}]
 
 
 def test_scan_sees_dead_and_read_private_names():
     sources = {
         "a": "_LIMIT = 3\n_x, _y = 1, 2\n_z: int = 0\n__all__ = []\n"
-             "def _used(): return _LIMIT\nclass _Dead: pass\ndef _stub(): pass\n",
+             "def _used(): return _LIMIT\nclass _Dead: pass\ndef _stub(): pass\n"
+             "def _loop(n): return _loop(n - 1)\n",
         "b": "from .a import _used\nimport a\n_used(a._y)\n",
     }
-    assert dead_private_names(sources) == ["a._x", "a._z", "a._Dead", "a._stub"]
+    assert dead_private_names(sources) == ["a._x", "a._z", "a._Dead", "a._stub", "a._loop"]
 
 
 def test_no_dead_private_names():
